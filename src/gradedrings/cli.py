@@ -24,6 +24,7 @@ report), 2 for malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -32,7 +33,7 @@ from fractions import Fraction
 from . import report as rpt
 from .connections import connection_classes, is_symmetric_support, verify_certificate
 from .decomposition import decompose
-from .errors import PreconditionError, SpecFileError, TheoremViolationError
+from .errors import MalformedInputError, PreconditionError, SpecFileError, TheoremViolationError
 from .generators import BandedRingParams, RandomRingParams, banded_ring, direct_sum, group_algebra, random_ring
 from .groups import GroupSignature
 from .properties import properties_report
@@ -47,6 +48,14 @@ def _env_int(name: str, default: int) -> int:
         return int(raw)
     except ValueError:
         raise SpecFileError(f"environment variable {name} must be an integer, got {raw!r}")
+
+
+def _parse_list(flag: str, text: str, convert) -> tuple:
+    """A comma-separated option value, each item converted by ``convert``."""
+    try:
+        return tuple(convert(item) for item in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SpecFileError(f"{flag}: cannot parse {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,6 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     grandom.add_argument("-o", "--output", default=None)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  A parser is a web of reference
+    cycles that only the cyclic garbage collector frees, so building one per
+    command leaves garbage behind until the next full collection."""
+    return build_parser()
 
 
 def _emit(args, report: dict) -> None:
@@ -172,10 +189,10 @@ def _analyze(args) -> int:
 
 def _generate(args) -> int:
     if args.generator == "banded":
-        weights = tuple(Fraction(w) for w in args.weights.split(","))
+        weights = _parse_list("--weights", args.weights, Fraction)
         primes = None
         if args.primes:
-            primes = tuple(int(p) for p in args.primes.split(","))
+            primes = _parse_list("--primes", args.primes, int)
         params = BandedRingParams(args.n, args.r, primes, weights)
         ring = banded_ring(params)
         meta = {
@@ -186,8 +203,12 @@ def _generate(args) -> int:
             "primes": list(params.primes),
         }
     elif args.generator == "group":
-        moduli = tuple(sorted(int(m) for m in args.torsion.split(",")))
-        ring = group_algebra(GroupSignature(0, moduli))
+        moduli = tuple(sorted(_parse_list("--torsion", args.torsion, int)))
+        try:
+            signature = GroupSignature(0, moduli)
+        except MalformedInputError as exc:
+            raise SpecFileError(f"--torsion: {exc}") from exc
+        ring = group_algebra(signature)
         meta = {"generator": "group", "torsion": list(moduli)}
     elif args.generator == "sum":
         ring = direct_sum(load_ring(args.file_a), load_ring(args.file_b), args.embedding)
@@ -208,8 +229,7 @@ def _generate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "gen":
             return _generate(args)
@@ -218,9 +238,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import PreconditionError, TheoremViolationError
+from .errors import MalformedInputError, PreconditionError, TheoremViolationError
 from .groups import Element
 from .ring import GradedRing
 
@@ -136,7 +136,8 @@ def connected(ring: GradedRing, g: Element, h: Element):
 def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
     """Recheck a certificate against the definition; False on any defect.
 
-    Malformed paths return False rather than raising.
+    Malformed paths return False rather than raising; any other exception
+    is a defect of the library and propagates.
     """
     try:
         sig = ring.signature
@@ -158,7 +159,7 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
                 return False
             prefix = sig.compose(prefix, elements[idx])
         return prefix in (target, sig.invert(target))
-    except Exception:
+    except (MalformedInputError, TypeError):
         return False
 
 

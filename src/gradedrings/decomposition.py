@@ -22,19 +22,28 @@ from dataclasses import dataclass
 from .connections import ConnectionClasses, connection_classes
 from .errors import PreconditionError, TheoremViolationError
 from .groups import Element
-from .linalg import EchelonBasis, Subspace, joint_orthogonal_complement, pairing, zero_vector
+from .linalg import (
+    EchelonBasis,
+    Subspace,
+    coordinate_subspace,
+    joint_orthogonal_complement,
+    pairing,
+)
 from .ring import GradedRing
 
 
-def _basis_product_vector(ring: GradedRing, i: int, j: int):
-    """Dense vector of e_i e_j, or None when the product is zero."""
-    entries = ring.basis_product(i, j)
-    if not entries:
-        return None
-    v = zero_vector(ring.dim)
-    for k, c in entries:
-        v[k] = c
-    return v
+def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
+    """Span of the basis products e_i e_j with deg e_i = h, deg e_j = h^-1
+    for h in ``degrees``."""
+    sig = ring.signature
+    eb = EchelonBasis(ring.dim)
+    for h in degrees:
+        for i in ring.indices_of_degree(h):
+            for j in ring.indices_of_degree(sig.invert(h)):
+                entries = ring.basis_product(i, j)
+                if entries:
+                    eb.add(dict(entries))
+    return eb.to_subspace()
 
 
 def _normalize_block(ring: GradedRing, block) -> tuple[Element, ...]:
@@ -63,25 +72,14 @@ def class_identity_span(ring: GradedRing, block, *, _checked=False) -> Subspace:
     """
     if not _checked:
         block = _require_partition_block(ring, block)
-    sig = ring.signature
-    eb = EchelonBasis(ring.dim)
-    for h in block:
-        for i in ring.indices_of_degree(h):
-            for j in ring.indices_of_degree(sig.invert(h)):
-                v = _basis_product_vector(ring, i, j)
-                if v is not None:
-                    eb.add(v)
-    return eb.to_subspace()
+    return _inverse_products_span(ring, block)
 
 
 def class_component_sum(ring: GradedRing, block, *, _checked=False) -> Subspace:
     """Direct sum of the homogeneous components with degree in the class."""
     if not _checked:
         block = _require_partition_block(ring, block)
-    out = Subspace.zero(ring.dim)
-    for h in block:
-        out = out.sum(ring.component(h))
-    return out
+    return coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
 
 
 def class_ideal(ring: GradedRing, block, *, _checked=False) -> Subspace:
@@ -107,35 +105,27 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     sum of its intersections with the homogeneous components."""
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
-    eb = sub.basis()
-    for row in sub.rows:
+    rows = sub.sparse.values()
+    for row in rows:
         for j in range(ring.dim):
-            if not eb.contains(ring.multiply_basis_right(row, j)):
+            w = ring.multiply_basis_right(row, j)
+            if w and not sub.contains(w):
                 return False
-            if not eb.contains(ring.multiply_basis_left(j, row)):
+            w = ring.multiply_basis_left(j, row)
+            if w and not sub.contains(w):
                 return False
-    # graded: the projection of every basis row onto every attained degree
-    # stays inside; equivalently the subspace is the sum of its homogeneous
-    # parts.
-    for row in sub.rows:
-        for g in ring.attained_degrees():
-            piece = ring.project_degree(row, g)
-            if any(piece) and not eb.contains(piece):
-                return False
+    # graded: every homogeneous piece of every basis row stays inside;
+    # equivalently the subspace is the sum of its homogeneous parts.
+    for row in rows:
+        parts = ring.homogeneous_parts(row)
+        if len(parts) > 1 and not all(sub.contains(piece) for _, piece in parts):
+            return False
     return True
 
 
 def identity_products_span(ring: GradedRing) -> Subspace:
     """Span of all products E_g E_{g^-1} with g running over the support."""
-    sig = ring.signature
-    eb = EchelonBasis(ring.dim)
-    for g in ring.sorted_support():
-        for i in ring.indices_of_degree(g):
-            for j in ring.indices_of_degree(sig.invert(g)):
-                v = _basis_product_vector(ring, i, j)
-                if v is not None:
-                    eb.add(v)
-    return eb.to_subspace()
+    return _inverse_products_span(ring, ring.sorted_support())
 
 
 def identity_complement(ring: GradedRing) -> tuple[Subspace, bool]:
@@ -199,9 +189,9 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     complement, exact = identity_complement(ring)
 
     eb = EchelonBasis(ring.dim)
-    eb.extend(complement.rows)
+    eb.extend(complement.sparse.values())
     for ideal in ideals:
-        eb.extend(ideal.rows)
+        eb.extend(ideal.sparse.values())
     covers = eb.dim == ring.dim
 
     pairwise_zero = True
@@ -209,17 +199,17 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         for b in range(len(ideals)):
             if a == b:
                 continue
-            for u in ideals[a].rows:
-                for v in ideals[b].rows:
-                    if any(ring.multiply(u, v)):
+            for u in ideals[a].sparse.values():
+                for v in ideals[b].sparse.values():
+                    if ring.multiply(u, v):
                         pairwise_zero = False
 
     orthogonal = True
     for a in range(len(ideals)):
         for b in range(a + 1, len(ideals)):
             for gram in ring.grams:
-                for u in ideals[a].rows:
-                    for v in ideals[b].rows:
+                for u in ideals[a].sparse.values():
+                    for v in ideals[b].sparse.values():
                         if pairing(u, v, gram):
                             orthogonal = False
 

@@ -2,10 +2,21 @@
 
 Everything in this package computes with exact scalars.  A :class:`Scalar`
 is a pair of ``Fraction`` values (real and imaginary part), so the field is
-Q or Q(i) and field axioms hold on the nose.  A :class:`Subspace` stores a
-reduced row-echelon basis, which is a canonical form: two subspaces are
-equal exactly when their stored matrices are identical.  There is no
-floating point and no tolerance anywhere.
+Q or Q(i) and field axioms hold on the nose.  There is no floating point and
+no tolerance anywhere.
+
+Inside the kernel a vector is sparse: a dict ``{index: nonzero Scalar}``
+that never stores a zero, so ``if v`` tests for the zero vector and every
+loop visits only nonzero coordinates.  A sparse vector is not changed once
+it has been handed to another function; echelon rows are replaced rather
+than updated in place, so they can be shared.  The public API takes and
+returns dense sequences of scalars: every function that takes a vector
+accepts either form, and the ring products answer in the form they were
+given (:func:`in_form_of`).  :class:`EchelonBasis` keeps its rows and
+residuals sparse.  A :class:`Subspace` stores a reduced row-echelon basis,
+which is a canonical form: its dense ``rows`` are identical exactly when
+two subspaces are equal, and its sparse rows are what the kernel computes
+with.
 
 Pairings against a Gram matrix G use the convention
 
@@ -18,7 +29,6 @@ Hermitian G gives <y, x> = conj(<x, y>).
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import MalformedInputError, PreconditionError
@@ -188,7 +198,7 @@ def as_scalar(value) -> Scalar:
     return s
 
 
-# -- vector helpers -------------------------------------------------------
+# -- vectors --------------------------------------------------------------
 
 def zero_vector(n: int) -> list[Scalar]:
     return [ZERO] * n
@@ -204,25 +214,63 @@ def vector(values) -> list[Scalar]:
     return [as_scalar(v) for v in values]
 
 
-def is_zero_vector(v) -> bool:
-    return not any(v)
+def as_sparse(vec, ambient: int | None = None) -> dict[int, Scalar]:
+    """The sparse form of a vector.  A dict is taken to be sparse already
+    and returned as it is; a dense vector is checked against ``ambient``
+    when that is given."""
+    if isinstance(vec, dict):
+        return vec
+    if ambient is not None and len(vec) != ambient:
+        raise MalformedInputError(
+            f"vector has length {len(vec)}, ambient dimension is {ambient}"
+        )
+    out = {}
+    for j, x in enumerate(vec):
+        x = as_scalar(x)
+        if x:
+            out[j] = x
+    return out
 
 
-def conj_vector(v) -> list[Scalar]:
-    return [x.conjugate() for x in v]
+def as_dense(vec: dict[int, Scalar], ambient: int) -> list[Scalar]:
+    out = [ZERO] * ambient
+    for j, x in vec.items():
+        out[j] = x
+    return out
+
+
+def in_form_of(like, vec: dict[int, Scalar], ambient: int):
+    """``vec`` in the form (sparse or dense) of the argument ``like``."""
+    return vec if isinstance(like, dict) else as_dense(vec, ambient)
+
+
+def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
+    """v += c * w in place, for w given by its nonzero (index, value) pairs;
+    entries that cancel are deleted, so v stays free of zeros."""
+    for j, x in entries:
+        t = c * x
+        old = v.get(j)
+        if old is None:
+            v[j] = t
+        else:
+            t = old + t
+            if t:
+                v[j] = t
+            else:
+                del v[j]
 
 
 def pairing(u, v, gram) -> Scalar:
     """<u, v> against one Gram matrix (conjugate-linear in v)."""
+    conj_v = [(j, x.conjugate()) for j, x in as_sparse(v).items()]
     acc = ZERO
-    for i, ui in enumerate(u):
-        if not ui:
-            continue
+    for i, ui in as_sparse(u).items():
         row = gram[i]
         part = ZERO
-        for j, vj in enumerate(v):
-            if vj and row[j]:
-                part = part + row[j] * vj.conjugate()
+        for j, cj in conj_v:
+            g = row[j]
+            if g:
+                part = part + g * cj
         if part:
             acc = acc + ui * part
     return acc
@@ -241,59 +289,65 @@ def is_hermitian(gram) -> bool:
 
 # -- subspaces ------------------------------------------------------------
 
+def _reduce(rows: dict[int, dict[int, Scalar]], v: dict[int, Scalar]) -> dict[int, Scalar]:
+    """Residual of a sparse vector against reduced row-echelon rows keyed by
+    pivot.  Each row vanishes at every other pivot, so eliminating the
+    pivots in the support of ``v`` once each, in any order, clears them all."""
+    hits = [p for p in v if p in rows]
+    if not hits:
+        return v
+    v = dict(v)
+    for p in hits:
+        add_scaled(v, -v[p], rows[p].items())
+    return v
+
+
 class EchelonBasis:
     """Mutable accumulator that keeps its rows in reduced row-echelon form.
 
-    Rows have leading coefficient 1, pivot columns are zero in every other
-    row, and rows are ordered by pivot column, so the final matrix is the
-    canonical representative of the span.
+    ``rows`` maps each pivot column to its sparse row, which has leading
+    coefficient 1 at the pivot and is zero at every other pivot, so the rows
+    sorted by pivot are the canonical representative of the span.  A row is
+    replaced, never changed in place, so rows can be shared with the
+    subspaces built from them.
     """
 
-    def __init__(self, ambient: int):
+    def __init__(self, ambient: int, rows=None):
         self.ambient = ambient
-        self.rows: list[list[Scalar]] = []
-        self.pivots: list[int] = []
+        self.rows: dict[int, dict[int, Scalar]] = dict(rows or {})
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def residual(self, vec) -> list[Scalar]:
-        """Reduce ``vec`` against the current rows; zero iff contained."""
-        if len(vec) != self.ambient:
-            raise MalformedInputError(
-                f"vector has length {len(vec)}, ambient dimension is {self.ambient}"
-            )
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            c = v[p]
-            if c:
-                for j, rj in enumerate(row):
-                    if rj:
-                        v[j] = v[j] - c * rj
-        return v
+    @property
+    def pivots(self) -> list[int]:
+        return sorted(self.rows)
+
+    def residual(self, vec) -> dict[int, Scalar]:
+        """Sparse residual of ``vec`` against the rows; empty iff contained."""
+        return _reduce(self.rows, as_sparse(vec, self.ambient))
 
     def contains(self, vec) -> bool:
-        return is_zero_vector(self.residual(vec))
+        return not self.residual(vec)
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the span grew."""
         v = self.residual(vec)
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
+        if not v:
             return False
+        lead = min(v)
         c = v[lead]
         if c != ONE:
-            v = [x / c if x else ZERO for x in v]
-        for row in self.rows:
-            f = row[lead]
-            if f:
-                for j, vj in enumerate(v):
-                    if vj:
-                        row[j] = row[j] - f * vj
-        at = bisect_left(self.pivots, lead)
-        self.pivots.insert(at, lead)
-        self.rows.insert(at, v)
+            v = {j: x / c for j, x in v.items()}
+        rows = self.rows
+        for p, row in rows.items():
+            f = row.get(lead)
+            if f is not None:
+                row = dict(row)
+                add_scaled(row, -f, v.items())
+                rows[p] = row
+        rows[lead] = v
         return True
 
     def extend(self, vectors) -> None:
@@ -301,50 +355,59 @@ class EchelonBasis:
             self.add(v)
 
     def to_subspace(self) -> "Subspace":
-        return Subspace(self.ambient, tuple(tuple(r) for r in self.rows), tuple(self.pivots))
+        return Subspace(self.ambient, self.rows)
 
 
 class Subspace:
-    """A linear subspace held by its canonical reduced-echelon basis."""
+    """A linear subspace held by its canonical reduced-echelon basis.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    ``sparse`` maps each pivot, in ascending order, to its sparse row; the
+    kernel computes with these.  ``pivots`` lists the pivot columns and
+    ``rows`` the same rows as dense tuples, built on first use: the
+    canonical form that hashing and reports use.
+    """
 
-    def __init__(self, ambient, rows, pivots):
+    __slots__ = ("ambient", "sparse", "pivots", "_rows")
+
+    def __init__(self, ambient: int, sparse: dict[int, dict[int, Scalar]]):
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self.sparse = {p: sparse[p] for p in sorted(sparse)}
+        self.pivots = tuple(self.sparse)
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(tuple(as_dense(r, self.ambient)) for r in self.sparse.values())
+        return self._rows
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, {})
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     def basis(self) -> EchelonBasis:
-        eb = EchelonBasis(self.ambient)
-        eb.rows = [list(r) for r in self.rows]
-        eb.pivots = list(self.pivots)
-        return eb
+        return EchelonBasis(self.ambient, self.sparse)
 
     def contains(self, vec) -> bool:
-        return self.basis().contains(vec)
+        return not _reduce(self.sparse, as_sparse(vec, self.ambient))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise MalformedInputError("ambient dimensions differ")
-        eb = self.basis()
-        return all(eb.contains(r) for r in other.rows)
+        return all(self.contains(r) for r in other.sparse.values())
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient != self.ambient:
             raise MalformedInputError("ambient dimensions differ")
         eb = self.basis()
-        eb.extend(other.rows)
+        eb.extend(other.sparse.values())
         return eb.to_subspace()
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -354,20 +417,20 @@ class Subspace:
             raise MalformedInputError("ambient dimensions differ")
         n = self.ambient
         eb = EchelonBasis(2 * n)
-        for a in self.rows:
-            eb.add(list(a) + list(a))
-        for b in other.rows:
-            eb.add(list(b) + [ZERO] * n)
+        for a in self.sparse.values():
+            eb.add({**a, **{j + n: x for j, x in a.items()}})
+        eb.extend(other.sparse.values())
         out = EchelonBasis(n)
-        for row in eb.rows:
-            if not any(row[:n]):
-                out.add(row[n:])
+        for p, row in eb.rows.items():
+            if p >= n:
+                out.add({j - n: x for j, x in row.items()})
         return out.to_subspace()
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        # equal sparse rows are equal dense rows
+        return self.ambient == other.ambient and self.sparse == other.sparse
 
     def __hash__(self):
         return hash((self.ambient, self.rows))
@@ -379,34 +442,37 @@ class Subspace:
 def span(vectors, ambient: int) -> Subspace:
     """Canonical reduced-echelon basis of the linear span."""
     eb = EchelonBasis(ambient)
-    for v in vectors:
-        eb.add(v)
+    eb.extend(vectors)
     return eb.to_subspace()
 
 
+def coordinate_subspace(ambient: int, indices) -> Subspace:
+    """Span of the unit vectors with the given indices."""
+    return Subspace(ambient, {i: {i: ONE} for i in indices})
+
+
 def full_space(ambient: int) -> Subspace:
-    return span([unit_vector(ambient, i) for i in range(ambient)], ambient)
+    return coordinate_subspace(ambient, range(ambient))
 
 
 def nullspace(matrix, ncols: int) -> Subspace:
     """Exact right kernel {v : M v = 0} of a matrix given as a list of rows."""
     eb = EchelonBasis(ncols)
     for row in matrix:
-        if len(row) != ncols:
+        if not isinstance(row, dict) and len(row) != ncols:
             raise MalformedInputError("matrix rows have inconsistent length")
         if eb.dim == ncols:
             break
         eb.add(row)
-    pivot_set = set(eb.pivots)
     kernel = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in eb.rows:
             continue
-        v = zero_vector(ncols)
-        v[free] = ONE
-        for p, row in zip(eb.pivots, eb.rows):
-            if row[free]:
-                v[p] = -row[free]
+        v = {free: ONE}
+        for p, row in eb.rows.items():
+            x = row.get(free)
+            if x is not None:
+                v[p] = -x
         kernel.append(v)
     return span(kernel, ncols)
 
@@ -432,37 +498,38 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams) -> Subs
     # coordinates of ``outer``.
     constraints = []
     for gram in grams:
-        for s in inner.rows:
-            cs = conj_vector(s)
-            row = []
+        for s in inner.sparse.values():
+            conj_s = [(k, x.conjugate()) for k, x in s.items()]
+            row = {}
             for j in range(n):
                 gj = gram[j]
                 acc = ZERO
-                for k, ck in enumerate(cs):
-                    if ck and gj[k]:
-                        acc = acc + gj[k] * ck
-                row.append(acc)
-            if any(row):
+                for k, ck in conj_s:
+                    g = gj[k]
+                    if g:
+                        acc = acc + g * ck
+                if acc:
+                    row[j] = acc
+            if row:
                 constraints.append(row)
     if not constraints:
         return outer
     # Rewrite each constraint in the coordinates y of x = sum_t y_t w_t.
+    basis = list(outer.sparse.values())
     reduced = []
     for c in constraints:
-        reduced.append([
-            sum((w[j] * c[j] for j in range(n) if w[j] and c[j]), ZERO)
-            for w in outer.rows
-        ])
-    ker = nullspace(reduced, outer.dim)
+        row = {}
+        for t, w in enumerate(basis):
+            acc = sum((x * c[j] for j, x in w.items() if j in c), ZERO)
+            if acc:
+                row[t] = acc
+        reduced.append(row)
+    ker = nullspace(reduced, len(basis))
     eb = EchelonBasis(n)
-    for y in ker.rows:
-        x = zero_vector(n)
-        for t, yt in enumerate(y):
-            if yt:
-                w = outer.rows[t]
-                for j in range(n):
-                    if w[j]:
-                        x[j] = x[j] + yt * w[j]
+    for y in ker.sparse.values():
+        x = {}
+        for t, yt in y.items():
+            add_scaled(x, yt, basis[t].items())
         eb.add(x)
     return eb.to_subspace()
 
@@ -480,37 +547,36 @@ def psd_counterexample(gram):
     n = len(gram)
     if not is_hermitian(gram):
         raise MalformedInputError("Gram matrix is not Hermitian")
-    g = [list(row) for row in gram]
-    track = {i: unit_vector(n, i) for i in range(n)}
+    # entries in eliminated columns go stale and are never read again
+    g = [as_sparse(row) for row in gram]
+    track = [{i: ONE} for i in range(n)]
     alive = list(range(n))
+    live = set(alive)
     while alive:
-        pivot = next((i for i in alive if g[i][i]), None)
+        pivot = next((i for i in alive if i in g[i]), None)
         if pivot is None:
             for j in alive:
-                for k in alive:
-                    if j != k and g[j][k]:
-                        c = g[j][k]
-                        t = -c.conjugate()
-                        return [
-                            t * wj + wk for wj, wk in zip(track[j], track[k])
-                        ]
+                ks = [k for k in g[j] if k != j and k in live]
+                if ks:
+                    k = min(ks)
+                    w = dict(track[k])
+                    add_scaled(w, -g[j][k].conjugate(), track[j].items())
+                    return as_dense(w, n)
             return None
         d = g[pivot][pivot]
         if d.re < 0:
-            return list(track[pivot])
+            return as_dense(track[pivot], n)
         alive.remove(pivot)
+        live.remove(pivot)
+        gp = [(k, x) for k, x in g[pivot].items() if k in live]
+        wp = list(track[pivot].items())
         for j in alive:
-            f = g[j][pivot]
-            if not f:
+            f = g[j].get(pivot)
+            if f is None:
                 continue
-            m = f / d
-            wj, wp = track[j], track[pivot]
-            track[j] = [a - m * b if b else a for a, b in zip(wj, wp)]
-            gp = g[pivot]
-            gj = g[j]
-            for k in alive:
-                if gp[k]:
-                    gj[k] = gj[k] - m * gp[k]
+            m = -(f / d)
+            add_scaled(track[j], m, wp)
+            add_scaled(g[j], m, gp)
     return None
 
 

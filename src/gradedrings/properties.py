@@ -32,7 +32,17 @@ from .connections import connection_classes, is_symmetric_support
 from .decomposition import identity_products_span, is_graded_ideal
 from .errors import PreconditionError
 from .groups import Element
-from .linalg import EchelonBasis, Scalar, Subspace, nullspace, pairing, zero_vector
+from .linalg import (
+    ONE,
+    EchelonBasis,
+    Scalar,
+    Subspace,
+    add_scaled,
+    nullspace,
+    pairing,
+    unit_vector,
+    zero_vector,
+)
 from .ring import GradedRing
 
 
@@ -78,26 +88,14 @@ def annihilator(ring: GradedRing) -> Subspace:
     Computed as the exact kernel of the stacked multiplication operators by
     all basis elements; only the nonzero constraint rows are materialized.
     """
-    n = ring.dim
     rows: dict[tuple[str, int, int], dict[int, Scalar]] = {}
     for (i, j), entries in ring.structure.items():
         for k, c in entries:
             # coordinate k of v * e_j collects v_i * c
-            row = rows.setdefault(("r", j, k), {})
-            row[i] = row.get(i, Scalar(0)) + c
+            add_scaled(rows.setdefault(("r", j, k), {}), ONE, ((i, c),))
             # coordinate k of e_i * v collects v_j * c
-            row = rows.setdefault(("l", i, k), {})
-            row[j] = row.get(j, Scalar(0)) + c
-    dense = []
-    for key in sorted(rows):
-        row = zero_vector(n)
-        nonzero = False
-        for col, c in rows[key].items():
-            row[col] = c
-            nonzero = bool(c) or nonzero
-        if nonzero:
-            dense.append(row)
-    return nullspace(dense, n)
+            add_scaled(rows.setdefault(("l", i, k), {}), ONE, ((j, c),))
+    return nullspace(rows.values(), ring.dim)
 
 
 @dataclass
@@ -145,8 +143,8 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
 
 
 def _pairing_vanishes(a: Subspace, b: Subspace, gram) -> bool:
-    for u in a.rows:
-        for v in b.rows:
+    for u in a.sparse.values():
+        for v in b.sparse.values():
             if pairing(u, v, gram):
                 return False
     return True
@@ -156,23 +154,22 @@ def ideal_closure(ring: GradedRing, v) -> Subspace:
     """Smallest graded ideal containing the vector.
 
     Seeded with the homogeneous components of v, then closed under left and
-    right multiplication by basis elements until the span stabilizes.  Every
-    generator is homogeneous, so the result is graded by construction.
+    right multiplication by basis elements until the span stabilizes or
+    fills the ring.  Every generator is homogeneous, so the result is graded
+    by construction.
     """
     n = ring.dim
-    if len(v) != n:
+    if not isinstance(v, dict) and len(v) != n:
         raise PreconditionError("vector length does not match the ring dimension")
     basis = EchelonBasis(n)
-    queue = []
-    for g in ring.attained_degrees():
-        piece = ring.project_degree(v, g)
-        if any(piece) and basis.add(piece):
-            queue.append(piece)
-    while queue:
+    queue = [piece for _, piece in ring.homogeneous_parts(v) if basis.add(piece)]
+    while queue and basis.dim < n:
         u = queue.pop()
         for j in range(n):
             for w in (ring.multiply_basis_right(u, j), ring.multiply_basis_left(j, u)):
-                if any(w) and basis.add(w):
+                if w and basis.add(w):
+                    if basis.dim == n:
+                        return basis.to_subspace()
                     queue.append(w)
     return basis.to_subspace()
 
@@ -228,13 +225,14 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
     full = n
     tested = 0
     for i in range(n):
-        v = zero_vector(n)
-        v[i] = Scalar(1)
-        closure = ideal_closure(ring, v)
+        closure = ideal_closure(ring, {i: ONE})
         tested += 1
         if closure.dim != full:
             return OracleResult(
-                False, v, tested, f"closure of basis vector {i} is a proper nonzero graded ideal"
+                False,
+                unit_vector(n, i),
+                tested,
+                f"closure of basis vector {i} is a proper nonzero graded ideal",
             )
     one_indices = ring.indices_of_degree(ring.identity_degree())
     if one_indices and sample_count > 0:
@@ -277,35 +275,31 @@ def induced_subring(ring: GradedRing, sub: Subspace) -> GradedRing:
     if not is_graded_ideal(ring, sub):
         # a graded subring would suffice; the ideal check is what callers need
         raise PreconditionError("subspace is not a graded ideal of the ring")
+    pieces: dict[Element, EchelonBasis] = {}
+    for row in sub.sparse.values():
+        for g, piece in ring.homogeneous_parts(row):
+            pieces.setdefault(g, EchelonBasis(ring.dim)).add(piece)
     rows = []
     degs = []
-    for g in ring.attained_degrees():
-        eb = EchelonBasis(ring.dim)
-        for row in sub.rows:
-            piece = ring.project_degree(row, g)
-            if any(piece):
-                eb.add(piece)
-        for row in eb.rows:
-            rows.append(list(row))
+    for g in sorted(pieces):
+        eb = pieces[g]
+        for p in eb.pivots:
+            rows.append(eb.rows[p])
             degs.append(g)
     m = len(rows)
-    pivot_of = []
-    for row in rows:
-        pivot_of.append(next(j for j, x in enumerate(row) if x))
+    pivot_of = [min(row) for row in rows]
 
     def coordinates(vec):
         # rows grouped per degree are in echelon form, so coordinates can be
         # read off at the pivots after eliminating top-down
-        v = list(vec)
-        coords = [Scalar(0)] * m
+        v = dict(vec)
+        coords = {}
         for t, row in enumerate(rows):
-            c = v[pivot_of[t]]
-            if c:
+            c = v.get(pivot_of[t])
+            if c is not None:
                 coords[t] = c
-                for j, rj in enumerate(row):
-                    if rj:
-                        v[j] = v[j] - c * rj
-        if any(v):
+                add_scaled(v, -c, row.items())
+        if v:
             raise PreconditionError("product left the subspace; not closed")
         return coords
 
@@ -313,11 +307,8 @@ def induced_subring(ring: GradedRing, sub: Subspace) -> GradedRing:
     for a in range(m):
         for b in range(m):
             prod = ring.multiply(rows[a], rows[b])
-            if any(prod):
-                coords = coordinates(prod)
-                entries = [(k, c) for k, c in enumerate(coords) if c]
-                if entries:
-                    structure[(a, b)] = entries
+            if prod:
+                structure[(a, b)] = list(coordinates(prod).items())
     grams = []
     for gram in ring.grams:
         grams.append([[pairing(rows[a], rows[b], gram) for b in range(m)] for a in range(m)])

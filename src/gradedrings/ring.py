@@ -24,17 +24,18 @@ from dataclasses import dataclass, field
 from .errors import MalformedInputError
 from .groups import Element, GroupSignature
 from .linalg import (
-    ZERO,
+    ONE,
     EchelonBasis,
     Scalar,
     Subspace,
+    add_scaled,
     as_scalar,
+    as_sparse,
+    coordinate_subspace,
+    in_form_of,
     is_hermitian,
     nullspace,
     psd_counterexample,
-    span,
-    unit_vector,
-    zero_vector,
 )
 
 
@@ -105,11 +106,9 @@ class GradedRing:
         self._by_degree: dict[Element, tuple[int, ...]] = {}
         for i, d in enumerate(self.degrees):
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
-        self._right_keys: dict[int, tuple[int, ...]] = {}
         self._left_keys: dict[int, tuple[int, ...]] = {}
         for (i, j) in self.structure:
             self._left_keys[i] = self._left_keys.get(i, ()) + (j,)
-            self._right_keys[j] = self._right_keys.get(j, ()) + (i,)
 
     # -- basic queries -----------------------------------------------------
 
@@ -139,65 +138,62 @@ class GradedRing:
 
     def component(self, g: Element) -> Subspace:
         """Homogeneous component of degree g (zero subspace if unattained)."""
-        idx = self.indices_of_degree(g)
-        return span([unit_vector(self.dim, i) for i in idx], self.dim)
+        return coordinate_subspace(self.dim, self.indices_of_degree(g))
 
     def identity_component(self) -> Subspace:
         return self.component(self.identity_degree())
 
-    def project_degree(self, v, g: Element) -> list[Scalar]:
-        """Coordinate projection of v onto the degree-g component."""
-        keep = set(self.indices_of_degree(g))
-        return [x if i in keep else ZERO for i, x in enumerate(v)]
+    def homogeneous_parts(self, v) -> list[tuple[Element, dict[int, Scalar]]]:
+        """The nonzero homogeneous pieces of v as (degree, sparse vector)
+        pairs in ascending degree order."""
+        parts: dict[Element, dict[int, Scalar]] = {}
+        for i, x in as_sparse(v, self.dim).items():
+            parts.setdefault(self.degrees[i], {})[i] = x
+        return sorted(parts.items())
 
     # -- products ----------------------------------------------------------
+    #
+    # Vectors are dense sequences or sparse dicts; each product answers in
+    # the form of its vector argument (of ``u`` for ``multiply``).
 
-    def multiply(self, u, v) -> list[Scalar]:
+    def multiply(self, u, v):
         """Bilinear extension of the structure constants."""
         n = self.dim
-        if len(u) != n or len(v) != n:
-            raise MalformedInputError("vectors must have length equal to the ring dimension")
-        out = zero_vector(n)
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
+        su, sv = as_sparse(u, n), as_sparse(v, n)
+        out: dict[int, Scalar] = {}
+        for i, ui in su.items():
             for j in self._left_keys.get(i, ()):
-                vj = v[j]
-                if not vj:
-                    continue
-                w = ui * vj
-                for k, c in self.structure[(i, j)]:
-                    out[k] = out[k] + w * c
-        return out
+                vj = sv.get(j)
+                if vj is not None:
+                    add_scaled(out, ui * vj, self.structure[(i, j)])
+        return in_form_of(u, out, n)
 
-    def multiply_basis_right(self, u, j: int) -> list[Scalar]:
+    def multiply_basis_right(self, u, j: int):
         """u * e_j without materializing e_j."""
-        out = zero_vector(self.dim)
-        for i in self._right_keys.get(j, ()):
-            ui = u[i]
-            if not ui:
-                continue
-            for k, c in self.structure[(i, j)]:
-                out[k] = out[k] + ui * c
-        return out
+        out: dict[int, Scalar] = {}
+        for i, ui in as_sparse(u, self.dim).items():
+            entries = self.structure.get((i, j))
+            if entries:
+                add_scaled(out, ui, entries)
+        return in_form_of(u, out, self.dim)
 
-    def multiply_basis_left(self, i: int, u) -> list[Scalar]:
+    def multiply_basis_left(self, i: int, u):
         """e_i * u without materializing e_i."""
-        out = zero_vector(self.dim)
-        for j in self._left_keys.get(i, ()):
-            uj = u[j]
-            if not uj:
-                continue
-            for k, c in self.structure[(i, j)]:
-                out[k] = out[k] + uj * c
-        return out
+        out: dict[int, Scalar] = {}
+        for j, uj in as_sparse(u, self.dim).items():
+            entries = self.structure.get((i, j))
+            if entries:
+                add_scaled(out, uj, entries)
+        return in_form_of(u, out, self.dim)
 
     def product_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all products of one subspace with another."""
         eb = EchelonBasis(self.dim)
-        for u in a.rows:
-            for v in b.rows:
-                eb.add(self.multiply(u, v))
+        for u in a.sparse.values():
+            for v in b.sparse.values():
+                w = self.multiply(u, v)
+                if w:
+                    eb.add(w)
         return eb.to_subspace()
 
     # -- validation ---------------------------------------------------------
@@ -242,30 +238,17 @@ class GradedRing:
     def _check_associativity(self, report: ViolationReport) -> None:
         n = self.dim
 
-        def sparse_eq(p, q):
-            return dict(p) == dict(q)
-
         def right_mul(entries, k):
             acc: dict[int, Scalar] = {}
             for m, c in entries:
-                for t, d in self.structure.get((m, k), ()):
-                    s = acc.get(t, ZERO) + c * d
-                    if s:
-                        acc[t] = s
-                    elif t in acc:
-                        del acc[t]
-            return acc.items()
+                add_scaled(acc, c, self.structure.get((m, k), ()))
+            return acc
 
         def left_mul(i, entries):
             acc: dict[int, Scalar] = {}
             for m, c in entries:
-                for t, d in self.structure.get((i, m), ()):
-                    s = acc.get(t, ZERO) + c * d
-                    if s:
-                        acc[t] = s
-                    elif t in acc:
-                        del acc[t]
-            return acc.items()
+                add_scaled(acc, c, self.structure.get((i, m), ()))
+            return acc
 
         for i in range(n):
             for j in range(n):
@@ -274,12 +257,12 @@ class GradedRing:
                     for k in range(n):
                         lhs = right_mul(left, k)
                         rhs = left_mul(i, self.structure.get((j, k), ()))
-                        if not sparse_eq(lhs, rhs):
+                        if lhs != rhs:
                             report.add(
                                 "associativity",
                                 (i, j, k),
-                                f"(e{i} e{j}) e{k} = {sorted(lhs)} but "
-                                f"e{i} (e{j} e{k}) = {sorted(rhs)}",
+                                f"(e{i} e{j}) e{k} = {sorted(lhs.items())} but "
+                                f"e{i} (e{j} e{k}) = {sorted(rhs.items())}",
                             )
                 else:
                     for k in self._left_keys.get(j, ()):
@@ -288,7 +271,7 @@ class GradedRing:
                             report.add(
                                 "associativity",
                                 (i, j, k),
-                                f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {sorted(rhs)}",
+                                f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {sorted(rhs.items())}",
                             )
 
     def _check_orthogonality(self, report: ViolationReport) -> None:
@@ -319,10 +302,10 @@ class GradedRing:
 
     def _check_hausdorff(self, report: ViolationReport) -> None:
         n = self.dim
-        total = [
-            [sum((gram[i][j] for gram in self.grams), ZERO) for j in range(n)]
-            for i in range(n)
-        ]
+        total: list[dict[int, Scalar]] = [{} for _ in range(n)]
+        for gram in self.grams:
+            for i, row in enumerate(gram):
+                add_scaled(total[i], ONE, as_sparse(row).items())
         kernel = nullspace(total, n)
         if not kernel.is_zero():
             witness = kernel.rows[0]

@@ -227,3 +227,28 @@ def test_bad_generator_parameters_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "gen", "banded", "--n", "2", "--r", "1", "--primes", "2,2")
     assert code == 2
     assert "distinct" in err
+
+
+@pytest.mark.parametrize("weights", ["abc", "1/0"])
+def test_unparseable_weights_exit_two(capsys, weights):
+    code, _, err = run(capsys, "gen", "banded", "--n", "2", "--r", "1", "--weights", weights)
+    assert code == 2
+    assert "--weights" in err and weights in err
+
+
+def test_unparseable_primes_and_torsion_exit_two(capsys):
+    code, _, err = run(capsys, "gen", "banded", "--n", "2", "--r", "1", "--primes", "2,x")
+    assert code == 2 and "--primes" in err
+    code, _, err = run(capsys, "gen", "group", "--torsion", "1")
+    assert code == 2 and "--torsion" in err
+
+
+def test_library_errors_are_not_reported_as_bad_input(capsys, tmp_path, monkeypatch):
+    path = gen_file(capsys, tmp_path, "b.json", "gen", "banded", "--n", "2", "--r", "1")
+
+    def broken(ring):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr("gradedrings.cli.decompose", broken)
+    with pytest.raises(ZeroDivisionError, match="planted"):
+        main(["decompose", path])

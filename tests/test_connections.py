@@ -104,6 +104,24 @@ def test_certificate_malformed_paths_return_false(band2):
     assert not verify_certificate(band2, wrong_first)
 
 
+def test_certificate_with_malformed_types_returns_false(band2):
+    g = band2.sorted_support()[0]
+    assert not verify_certificate(band2, ConnectionPath(None, g, g))
+    assert not verify_certificate(band2, ConnectionPath((g,), 5, g))
+
+
+def test_certificate_check_does_not_hide_library_errors(band2, monkeypatch):
+    g = band2.sorted_support()[0]
+    path = ConnectionPath((g, band2.signature.invert(g), g), g, g)
+
+    def broken(self, a, b):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(GroupSignature, "compose", broken)
+    with pytest.raises(RuntimeError, match="planted"):
+        verify_certificate(band2, path)
+
+
 # -- connection_classes -----------------------------------------------------------
 
 @pytest.mark.parametrize("size,bands", [(2, 1), (2, 3), (3, 2), (4, 3)])

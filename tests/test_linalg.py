@@ -20,7 +20,7 @@ from gradedrings import (
     unit_vector,
     vector,
 )
-from gradedrings.linalg import ONE, ZERO, is_hermitian
+from gradedrings.linalg import ONE, ZERO, as_dense, is_hermitian
 
 
 # -- scalars ---------------------------------------------------------------
@@ -278,3 +278,134 @@ def test_scalar_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     if b:
         assert (a / b) * b == a
+
+
+# -- differential test against a dense Gauss-Jordan reference ------------------
+#
+# The kernel keeps sparse rows and reduces only at pivots in a vector's
+# support.  The reference below is the textbook dense algorithm: reduce
+# against every row in pivot order, normalize the leading entry, clear its
+# column from every other row.
+
+class DenseEchelon:
+    def __init__(self, ambient):
+        self.ambient = ambient
+        self.rows = []
+        self.pivots = []
+
+    def residual(self, vec):
+        v = list(vec)
+        for p, row in zip(self.pivots, self.rows):
+            c = v[p]
+            if c:
+                v = [x - c * r for x, r in zip(v, row)]
+        return v
+
+    def add(self, vec):
+        v = self.residual(vec)
+        lead = next((j for j, x in enumerate(v) if x), None)
+        if lead is None:
+            return False
+        c = v[lead]
+        v = [x / c for x in v]
+        self.rows = [[r - row[lead] * x for r, x in zip(row, v)] for row in self.rows]
+        at = sum(1 for p in self.pivots if p < lead)
+        self.pivots.insert(at, lead)
+        self.rows.insert(at, v)
+        return True
+
+
+def dense_span(vectors, ambient):
+    eb = DenseEchelon(ambient)
+    for v in vectors:
+        eb.add(v)
+    return eb
+
+
+def dense_nullspace(matrix, ambient):
+    eb = dense_span(matrix, ambient)
+    kernel = []
+    for free in range(ambient):
+        if free not in eb.pivots:
+            v = [ZERO] * ambient
+            v[free] = ONE
+            for p, row in zip(eb.pivots, eb.rows):
+                v[p] = -row[free]
+            kernel.append(v)
+    return dense_span(kernel, ambient)
+
+
+def dense_intersect(a, b, ambient):
+    eb = dense_span([list(r) + list(r) for r in a] + [list(r) + [ZERO] * ambient for r in b],
+                    2 * ambient)
+    return dense_span([r[ambient:] for r in eb.rows if not any(r[:ambient])], ambient)
+
+
+def canonical(eb):
+    return tuple(tuple(r) for r in eb.rows), tuple(eb.pivots)
+
+
+RATIONAL_ENTRIES = [ZERO] * 6 + [Scalar(x) for x in (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))]
+GAUSSIAN_ENTRIES = RATIONAL_ENTRIES + [Scalar(0, 1), Scalar(0, -1), Scalar(1, 1), Scalar(Fraction(1, 2), -2)]
+
+
+@st.composite
+def sparse_systems(draw):
+    """An ambient dimension and rows with many zeros, some of them exact
+    combinations of earlier rows so that entries cancel during elimination."""
+    entries = st.sampled_from(draw(st.sampled_from([RATIONAL_ENTRIES, GAUSSIAN_ENTRIES])))
+    ambient = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=ambient, max_size=ambient), max_size=6))
+    if rows:
+        for a, b, c in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99), entries),
+                                     max_size=3)):
+            rows.append([x - c * y for x, y in zip(rows[a % len(rows)], rows[b % len(rows)])])
+    probes = draw(st.lists(st.lists(entries, min_size=ambient, max_size=ambient), max_size=2))
+    return ambient, rows, probes + rows[-2:]
+
+
+def _is_dense(sub):
+    return all(
+        isinstance(r, tuple) and len(r) == sub.ambient and all(isinstance(x, Scalar) for x in r)
+        for r in sub.rows
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_systems(), sparse_systems())
+def test_sparse_kernel_matches_dense_reference(system, other):
+    ambient, rows, probes = system
+    s = span(rows, ambient)
+    ref = dense_span(rows, ambient)
+    assert (s.rows, s.pivots) == canonical(ref)
+    assert _is_dense(s)
+    basis = s.basis()
+    for v in probes:
+        assert s.contains(v) == (not any(ref.residual(v)))
+        assert as_dense(basis.residual(v), ambient) == ref.residual(v)
+    k = nullspace(rows, ambient)
+    assert (k.rows, k.pivots) == canonical(dense_nullspace(rows, ambient))
+    assert _is_dense(k)
+    _, other_rows, _ = other
+    t = span([(r + [ZERO] * ambient)[:ambient] for r in other_rows], ambient)
+    meet = s.intersect(t)
+    assert (meet.rows, meet.pivots) == canonical(dense_intersect(s.rows, t.rows, ambient))
+    assert _is_dense(meet)
+
+
+def test_public_functions_take_and_give_dense_lists(band2):
+    rows = [vector([1, 0, 2, 0]), vector([0, 0, 1, 0])]
+    s = span(rows, 4)
+    assert s.rows == ((ONE, ZERO, ZERO, ZERO), (ZERO, ZERO, ONE, ZERO))
+    assert s.pivots == (0, 2)
+    assert s.contains([Scalar(3), ZERO, Scalar(5), ZERO])
+    assert nullspace(rows, 4).rows == ((ZERO, ONE, ZERO, ZERO), (ZERO, ZERO, ZERO, ONE))
+    gram = band2.grams[0]
+    u = unit_vector(band2.dim, 0)
+    assert pairing(u, u, gram) == gram[0][0]
+    product = band2.multiply(u, u)
+    assert isinstance(product, list) and len(product) == band2.dim
+    assert isinstance(band2.multiply_basis_right(u, 0), list)
+    assert isinstance(band2.multiply_basis_left(0, u), list)
+    witness = psd_counterexample([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(1)]])
+    assert isinstance(witness, list) and len(witness) == 2

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from gradedrings import (
     BandedRingParams,
     GradedRing,
     GroupSignature,
+    RandomRingParams,
     Scalar,
     annihilator,
     banded_ring,
@@ -22,6 +26,7 @@ from gradedrings import (
     is_support_multiplicative,
     properties_report,
     random_ring,
+    span,
     theorem_hypotheses,
     unit_vector,
     zero_vector,
@@ -185,6 +190,55 @@ def test_closure_output_is_a_graded_ideal_and_monotone():
         assert is_graded_ideal(ring, closure)
         for w in closure.rows:
             assert closure.contains_subspace(ideal_closure(ring, list(w)))
+
+
+def reference_closure(ring, v):
+    """Smallest graded ideal containing v, grown in rounds to a fixpoint:
+    each round multiplies every basis row by every basis element on both
+    sides, and there is no early exit."""
+    n = ring.dim
+    pieces = []
+    for g in ring.attained_degrees():
+        keep = set(ring.indices_of_degree(g))
+        pieces.append([x if i in keep else ZERO for i, x in enumerate(v)])
+    current = span(pieces, n)
+    while True:
+        products = []
+        for row in current.rows:
+            for j in range(n):
+                products.append(ring.multiply_basis_right(list(row), j))
+                products.append(ring.multiply_basis_left(j, list(row)))
+        grown = span(list(current.rows) + products, n)
+        if grown == current:
+            return current
+        current = grown
+
+
+def _closure_seeds(ring, rng):
+    n = ring.dim
+    seeds = [unit_vector(n, i) for i in range(n)]
+    seeds.append([Scalar(rng.randint(-2, 2)) for _ in range(n)])
+    return seeds
+
+
+@pytest.mark.parametrize("size,bands", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_closure_matches_fixpoint_reference_on_banded_rings(size, bands):
+    ring = banded_ring(BandedRingParams(size, bands))
+    for v in _closure_seeds(ring, random.Random(size * 10 + bands)):
+        assert ideal_closure(ring, v) == reference_closure(ring, v)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closure_matches_fixpoint_reference_on_random_rings(seed):
+    ring = random_ring(seed, RandomRingParams(max_dim=12))
+    for v in _closure_seeds(ring, random.Random(seed)):
+        assert ideal_closure(ring, v) == reference_closure(ring, v)
+
+
+def test_oracle_on_one_band_of_six_tests_44_closures():
+    result = graded_simple_oracle(banded_ring(BandedRingParams(6, 1)))
+    assert result.verdict is True
+    assert result.closures_tested == 44
 
 
 # -- simplicity, theorem route ----------------------------------------------------------

@@ -151,15 +151,14 @@ def _analyze(args) -> int:
         symmetric, witness = is_symmetric_support(ring)
         report["support"] = rpt.support_section(ring, symmetric, witness)
 
-        if args.command == "classes":
+        if args.command in ("classes", "decompose"):
             classes = connection_classes(ring)
             report["classes"] = rpt.classes_section(classes)
+        if args.command == "classes":
             failed = not all(
                 verify_certificate(ring, path) for path in classes.certificates.values()
             )
         elif args.command == "decompose":
-            classes = connection_classes(ring)
-            report["classes"] = rpt.classes_section(classes)
             dec = decompose(ring)
             report["decomposition"] = rpt.decomposition_section(dec)
             failed = not (

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import MalformedInputError, PreconditionError, TheoremViolationError
 from .groups import Element
-from .ring import GradedRing
+from .ring import GradedRing, derived
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class ConnectionPath:
         return len(self.elements)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectionClasses:
     """The partition of the support into connection classes.
 
@@ -54,26 +55,20 @@ class ConnectionClasses:
 
     blocks: tuple[tuple[Element, ...], ...]
     representatives: tuple[Element, ...]
-    certificates: dict[Element, ConnectionPath] = field(repr=False)
+    certificates: MappingProxyType[Element, ConnectionPath] = field(repr=False)
 
     @property
     def count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, g: Element):
-        for block in self.blocks:
-            if g in block:
-                return block
-        return None
 
-
+@derived
 def _symmetrized(ring: GradedRing):
+    """Support, and the support with its inverses as sorted tuple and set."""
     sig = ring.signature
     sup = ring.support()
-    closure = set(sup)
-    for g in sup:
-        closure.add(sig.invert(g))
-    return sup, sorted(closure)
+    closure = sup | {sig.invert(g) for g in sup}
+    return sup, tuple(sorted(closure)), closure
 
 
 def _bfs(ring: GradedRing, start: Element, targets=None):
@@ -84,8 +79,7 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
     reachable states and return the parent map.
     """
     sig = ring.signature
-    _, steps = _symmetrized(ring)
-    closure = set(steps)
+    _, steps, closure = _symmetrized(ring)
     parent: dict[Element, tuple[Element, Element] | None] = {start: None}
 
     def trail(state):
@@ -141,8 +135,7 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
     """
     try:
         sig = ring.signature
-        sup, steps = _symmetrized(ring)
-        closure = set(steps)
+        sup, _, closure = _symmetrized(ring)
         source = sig.element(path.source)
         target = sig.element(path.target)
         if source not in sup or target not in sup:
@@ -163,6 +156,7 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
         return False
 
 
+@derived
 def connection_classes(ring: GradedRing) -> ConnectionClasses:
     """Partition the support into connection classes with certificates.
 
@@ -199,9 +193,10 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
         assigned.update(members)
         blocks.append(tuple(members))
         reps.append(g)
-    return ConnectionClasses(tuple(blocks), tuple(reps), certificates)
+    return ConnectionClasses(tuple(blocks), tuple(reps), MappingProxyType(certificates))
 
 
+@derived
 def is_symmetric_support(ring: GradedRing):
     """(True, None) when the support is closed under inversion, else
     (False, witness) with the least support element whose inverse is

@@ -9,6 +9,9 @@ For a connection class C of the support, three subspaces are built:
 * the class ideal: the sum of the previous two.  It is verified to be a
   graded ideal, and ideals of distinct classes annihilate each other.
 
+One private body, ``_class_parts``, builds all three for both
+:func:`class_ideal` and :func:`decompose`.
+
 Together with an orthogonal complement of the span of *all* products of
 inverse-degree components inside the identity component, the class ideals
 cover the whole ring.  Under a coherent identity component the ideals are
@@ -29,7 +32,7 @@ from .linalg import (
     joint_orthogonal_complement,
     pairing,
 )
-from .ring import GradedRing
+from .ring import GradedRing, derived
 
 
 def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
@@ -46,58 +49,47 @@ def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
     return eb.to_subspace()
 
 
-def _normalize_block(ring: GradedRing, block) -> tuple[Element, ...]:
-    sig = ring.signature
-    return tuple(sorted(sig.element(g) for g in block))
-
-
 def _require_partition_block(ring: GradedRing, block) -> tuple[Element, ...]:
-    block = _normalize_block(ring, block)
-    if not block:
-        raise PreconditionError("a connection class is never empty")
-    sup = ring.support()
-    if any(g not in sup for g in block):
-        raise PreconditionError("block contains elements outside the support")
-    classes = connection_classes(ring)
-    if block not in classes.blocks:
+    block = tuple(sorted(ring.signature.element(g) for g in block))
+    if block not in connection_classes(ring).blocks:
         raise PreconditionError(f"{list(block)} is not a connection class of this ring")
     return block
 
 
-def class_identity_span(ring: GradedRing, block, *, _checked=False) -> Subspace:
+def _component_sum(ring: GradedRing, block) -> Subspace:
+    return coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
+
+
+def _class_parts(ring: GradedRing, block) -> tuple[Subspace, Subspace, Subspace]:
+    """Identity span, component sum and ideal of a connection class; an ideal
+    failing :func:`is_graded_ideal` is a theorem violation."""
+    one_span = _inverse_products_span(ring, block)
+    comp_sum = _component_sum(ring, block)
+    ideal = one_span.sum(comp_sum)
+    if not is_graded_ideal(ring, ideal):
+        raise TheoremViolationError(
+            f"class ideal of {list(block)} failed the graded-ideal check"
+        )
+    return one_span, comp_sum, ideal
+
+
+def class_identity_span(ring: GradedRing, block) -> Subspace:
     """Span of the products E_h E_{h^-1} over all h in the class.
 
     Always contained in the identity component, since the degrees multiply
     to the identity.
     """
-    if not _checked:
-        block = _require_partition_block(ring, block)
-    return _inverse_products_span(ring, block)
+    return _inverse_products_span(ring, _require_partition_block(ring, block))
 
 
-def class_component_sum(ring: GradedRing, block, *, _checked=False) -> Subspace:
+def class_component_sum(ring: GradedRing, block) -> Subspace:
     """Direct sum of the homogeneous components with degree in the class."""
-    if not _checked:
-        block = _require_partition_block(ring, block)
-    return coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
+    return _component_sum(ring, _require_partition_block(ring, block))
 
 
-def class_ideal(ring: GradedRing, block, *, _checked=False) -> Subspace:
-    """The graded ideal attached to a connection class.
-
-    The result is checked against :func:`is_graded_ideal`; a failure on a
-    validated ring is a theorem violation, never an expected outcome.
-    """
-    if not _checked:
-        block = _require_partition_block(ring, block)
-    ideal = class_identity_span(ring, block, _checked=True).sum(
-        class_component_sum(ring, block, _checked=True)
-    )
-    if not is_graded_ideal(ring, ideal):
-        raise TheoremViolationError(
-            f"class ideal of {list(block)} failed the graded-ideal check"
-        )
-    return ideal
+def class_ideal(ring: GradedRing, block) -> Subspace:
+    """The graded ideal attached to a connection class; see _class_parts."""
+    return _class_parts(ring, _require_partition_block(ring, block))[2]
 
 
 def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
@@ -123,6 +115,7 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     return True
 
 
+@derived
 def identity_products_span(ring: GradedRing) -> Subspace:
     """Span of all products E_g E_{g^-1} with g running over the support."""
     return _inverse_products_span(ring, ring.sorted_support())
@@ -171,20 +164,8 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     distinct ideals is asserted whenever the identity component is coherent.
     """
     classes = connection_classes(ring)
-    identity_spans = []
-    component_sums = []
-    ideals = []
-    for block in classes.blocks:
-        one_span = class_identity_span(ring, block, _checked=True)
-        comp_sum = class_component_sum(ring, block, _checked=True)
-        ideal = one_span.sum(comp_sum)
-        if not is_graded_ideal(ring, ideal):
-            raise TheoremViolationError(
-                f"class ideal of {list(block)} failed the graded-ideal check"
-            )
-        identity_spans.append(one_span)
-        component_sums.append(comp_sum)
-        ideals.append(ideal)
+    parts = [_class_parts(ring, block) for block in classes.blocks]
+    identity_spans, component_sums, ideals = (tuple(p[k] for p in parts) for k in range(3))
 
     complement, exact = identity_complement(ring)
 
@@ -228,9 +209,9 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
 
     return IdealDecomposition(
         classes=classes,
-        ideals=tuple(ideals),
-        identity_spans=tuple(identity_spans),
-        component_sums=tuple(component_sums),
+        ideals=ideals,
+        identity_spans=identity_spans,
+        component_sums=component_sums,
         complement=complement,
         complement_exact=exact,
         covers=covers,

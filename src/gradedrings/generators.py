@@ -263,6 +263,10 @@ class RandomRingParams:
     max_summands: int = 3
     prime_pool: int = 40
 
+    def __post_init__(self):
+        if self.max_dim < 2:
+            raise PreconditionError("max_dim must be at least 2")
+
 
 def random_ring(seed: int, params: RandomRingParams = RandomRingParams()) -> GradedRing:
     """Seeded pseudo-random composition of banded and group-algebra rings.

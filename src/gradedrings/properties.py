@@ -43,7 +43,7 @@ from .linalg import (
     unit_vector,
     zero_vector,
 )
-from .ring import GradedRing
+from .ring import GradedRing, derived
 
 
 def is_maximal_length(ring: GradedRing) -> bool:
@@ -53,6 +53,7 @@ def is_maximal_length(ring: GradedRing) -> bool:
     return all(len(ring.indices_of_degree(g)) == 1 for g in ring.support())
 
 
+@derived
 def is_support_multiplicative(ring: GradedRing):
     """Check that E_g E_h + E_h E_g is nonzero whenever g is in the support,
     h is in the support or the identity, and g h is again in the support.
@@ -82,6 +83,7 @@ def _components_product_nonzero(ring: GradedRing, g: Element, h: Element) -> boo
     return False
 
 
+@derived
 def annihilator(ring: GradedRing) -> Subspace:
     """Vectors killed by left and right multiplication with everything.
 

@@ -19,7 +19,9 @@ constructed and then *reported* on; it never decides mathematics itself.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import MalformedInputError
 from .groups import Element, GroupSignature
@@ -67,8 +69,23 @@ class ViolationReport:
         self.violations.append(Violation(kind, tuple(where), detail))
 
 
+def derived(fn):
+    """Compute ``fn(ring)`` once per ring and keep it; the value must be immutable."""
+
+    @functools.wraps(fn)
+    def cached(ring):
+        if fn not in ring._derived:
+            ring._derived[fn] = fn(ring)
+        return ring._derived[fn]
+
+    return cached
+
+
 class GradedRing:
     """Immutable graded ring value.
+
+    ``structure`` is read-only.  Quantities derived from the ring alone are
+    computed once, on first use, and kept on the ring (see :func:`derived`).
 
     Parameters
     ----------
@@ -98,7 +115,7 @@ class GradedRing:
             )
             if row:
                 cleaned[(int(i), int(j))] = row
-        self.structure = cleaned
+        self.structure = MappingProxyType(cleaned)
         self.grams = tuple(
             tuple(tuple(as_scalar(x) for x in row) for row in gram) for gram in grams
         )
@@ -109,6 +126,7 @@ class GradedRing:
         self._left_keys: dict[int, tuple[int, ...]] = {}
         for (i, j) in self.structure:
             self._left_keys[i] = self._left_keys.get(i, ()) + (j,)
+        self._derived: dict = {}
 
     # -- basic queries -----------------------------------------------------
 

@@ -139,7 +139,7 @@ def test_criterion_4_ideals_subrings_annihilation(fleet):
     ideals_checked = 0
     for ring in fleet:
         blocks = connection_classes(ring).blocks
-        ideals = [class_ideal(ring, block, _checked=True) for block in blocks]
+        ideals = [class_ideal(ring, block) for block in blocks]
         for ideal in ideals:
             assert is_graded_ideal(ring, ideal)
             inside = ideal.basis()

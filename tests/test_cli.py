@@ -140,6 +140,14 @@ def test_gen_random_determinism(capsys, tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_gen_random_rejects_max_dim_below_two(capsys, tmp_path):
+    out_path = tmp_path / "r.json"
+    code, out, err = run(capsys, "gen", "random", "--max-dim", "-3", "-o", str(out_path))
+    assert code == 2
+    assert "max_dim" in err and out == ""
+    assert not out_path.exists()
+
+
 def test_gen_sum_shared_embedding_collision_exits_two(capsys, tmp_path):
     a = gen_file(capsys, tmp_path, "a.json", "gen", "banded", "--n", "2", "--r", "1")
     code, _, err = run(capsys, "gen", "sum", a, a, "--embedding", "shared")

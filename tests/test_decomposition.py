@@ -102,11 +102,17 @@ def test_cross_class_products_vanish(band3x2):
 
 def test_class_functions_reject_non_blocks(band3x2):
     support = band3x2.sorted_support()
-    not_a_block = (support[0],)  # a strict subset of its class
-    with pytest.raises(PreconditionError):
-        class_identity_span(band3x2, not_a_block)
-    with pytest.raises(PreconditionError):
-        class_ideal(band3x2, ((9, 9, 9, 9, 9, 9),))
+    outside = (9, 9, 9, 9, 9, 9)  # not in the support
+    not_blocks = [
+        (support[0],),  # a strict subset of its class
+        (),  # a connection class is never empty
+        (outside,),
+        the_block(band3x2) + (outside,),
+    ]
+    for fn in (class_identity_span, class_component_sum, class_ideal):
+        for not_a_block in not_blocks:
+            with pytest.raises(PreconditionError):
+                fn(band3x2, not_a_block)
 
 
 # -- is_graded_ideal -------------------------------------------------------------
@@ -137,7 +143,7 @@ def test_every_class_ideal_is_a_graded_subring():
     for seed in range(8):
         ring = random_ring(seed)
         for block in connection_classes(ring).blocks:
-            ideal = class_ideal(ring, block, _checked=True)
+            ideal = class_ideal(ring, block)
             assert is_graded_ideal(ring, ideal)
             eb = ideal.basis()
             for u in ideal.rows:

@@ -183,6 +183,18 @@ def test_random_ring_respects_the_budget():
         assert 1 <= ring.dim <= 12
 
 
+@pytest.mark.parametrize("max_dim", [-3, 0, 1])
+def test_random_ring_rejects_max_dim_below_two(max_dim):
+    with pytest.raises(PreconditionError):
+        RandomRingParams(max_dim=max_dim)
+
+
+def test_random_ring_builds_at_max_dim_two():
+    for seed in range(5):
+        ring = random_ring(seed, RandomRingParams(max_dim=2))
+        assert ring.dim == 2 and ring.validate().ok
+
+
 def test_random_rings_validate():
     for seed in range(15):
         ring = random_ring(seed)

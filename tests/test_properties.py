@@ -71,6 +71,8 @@ def test_empty_support_is_vacuously_multiplicative():
 
 def test_zeroed_product_breaks_multiplicativity():
     base = banded_ring(BandedRingParams(3, 1))
+    # the base's value is kept on the base and never reaches the edited ring
+    assert is_support_multiplicative(base) == (True, None)
     a12 = base.labels.index("a((1,1),(2,1))")
     a23 = base.labels.index("a((2,1),(3,1))")
     structure = {k: list(v) for k, v in base.structure.items()}

@@ -7,12 +7,19 @@ from gradedrings import (
     GradedRing,
     GroupSignature,
     MalformedInputError,
+    annihilator,
     banded_ring,
+    connection_classes,
+    identity_products_span,
+    is_support_multiplicative,
+    is_symmetric_support,
     pairing,
     unit_vector,
     vector,
 )
+from gradedrings.connections import _symmetrized
 from gradedrings.linalg import ONE, ZERO
+from gradedrings.ring import derived
 
 from conftest import (
     associativity_defect_ring,
@@ -196,3 +203,57 @@ def test_vector_length_mismatch():
     ring = trivially_graded_zero_ring(2)
     with pytest.raises(MalformedInputError):
         ring.multiply(vector([1]), vector([1, 0]))
+
+
+# -- read-only ring, derived quantities kept per ring -----------------------------
+
+def test_structure_is_read_only(band2):
+    with pytest.raises(TypeError):
+        band2.structure[(0, 0)] = ((0, ONE),)
+    with pytest.raises(TypeError):
+        del band2.structure[next(iter(band2.structure))]
+
+
+def test_connection_classes_are_read_only(band3x2):
+    classes = connection_classes(band3x2)
+    member = band3x2.sorted_support()[0]
+    with pytest.raises(TypeError):
+        classes.certificates[member] = classes.certificates[member]
+    with pytest.raises(AttributeError):
+        classes.blocks = ()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        connection_classes,
+        is_symmetric_support,
+        _symmetrized,
+        annihilator,
+        is_support_multiplicative,
+        identity_products_span,
+    ],
+)
+def test_derived_quantity_is_kept_on_the_ring(fn):
+    ring = banded_ring(BandedRingParams(3, 2))
+    first = fn(ring)
+    assert fn(ring) is first
+    # an equal ring built separately computes its own value
+    other = banded_ring(BandedRingParams(3, 2))
+    assert other == ring
+    assert fn(other) == first
+
+
+def test_derived_runs_once_per_ring():
+    calls = []
+
+    @derived
+    def dim_plus_one(ring):
+        calls.append(ring)
+        return ring.dim + 1
+
+    a = banded_ring(BandedRingParams(2, 1))
+    b = banded_ring(BandedRingParams(2, 1))
+    assert dim_plus_one(a) == dim_plus_one(a) == dim_plus_one(b) == 5
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert dim_plus_one.__name__ == "dim_plus_one"

@@ -80,11 +80,14 @@ class GroupSignature:
         """Coordinatewise product (sum of exponents); commutative."""
         a = self.element(a)
         b = self.element(b)
-        return self.element(tuple(x + y for x, y in zip(a, b)))
+        r = self.free_rank
+        free = tuple(x + y for x, y in zip(a[:r], b[:r]))
+        return free + tuple((x + y) % m for x, y, m in zip(a[r:], b[r:], self.torsion))
 
     def invert(self, a: Element) -> Element:
         a = self.element(a)
-        return self.element(tuple(-x for x in a))
+        r = self.free_rank
+        return tuple(-x for x in a[:r]) + tuple(-x % m for x, m in zip(a[r:], self.torsion))
 
     def is_finite(self) -> bool:
         return self.free_rank == 0

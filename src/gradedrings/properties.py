@@ -12,6 +12,10 @@ Two independent routes decide graded simplicity:
   vector is grown to a fixpoint, and simplicity is refuted by any closure
   that comes out proper and nonzero.  Closures of all basis vectors are
   tested, plus seeded pseudo-random vectors of the identity component.
+  Each closure reuses the earlier ones: a graded ideal that holds a nonzero
+  multiple of e_j holds the closure of e_j, so once e_j is shown to generate
+  the whole ring, a later closure that reaches c e_j (c != 0) is the whole
+  ring and stops there.
 
 The oracle is a sound refuter.  As a prover it answers True only when the
 tested closures provably cover every candidate ideal: either every attained
@@ -25,6 +29,7 @@ whole ring.  Otherwise it reports None (inconclusive) rather than guess.
 from __future__ import annotations
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,6 +43,7 @@ from .linalg import (
     Scalar,
     Subspace,
     add_scaled,
+    full_space,
     nullspace,
     pairing,
     unit_vector,
@@ -152,24 +158,45 @@ def _pairing_vanishes(a: Subspace, b: Subspace, gram) -> bool:
     return True
 
 
-def ideal_closure(ring: GradedRing, v) -> Subspace:
+def ideal_closure(
+    ring: GradedRing, v, *, generators: Collection[int] = frozenset()
+) -> Subspace:
     """Smallest graded ideal containing the vector.
 
     Seeded with the homogeneous components of v, then closed under left and
     right multiplication by basis elements until the span stabilizes or
     fills the ring.  Every generator is homogeneous, so the result is graded
     by construction.
+
+    ``generators`` holds basis indices whose closures are already known to
+    be the whole ring.  Every seed piece and every product lies in the
+    closure of v, and an ideal holding c e_j (c != 0) holds the closure of
+    e_j; so a seed piece or product that is a nonzero multiple of e_j, for
+    j in ``generators``, proves the closure is the whole ring.
     """
     n = ring.dim
     if not isinstance(v, dict) and len(v) != n:
         raise PreconditionError("vector length does not match the ring dimension")
+
+    def generates(w) -> bool:
+        return len(w) == 1 and next(iter(w)) in generators
+
     basis = EchelonBasis(n)
-    queue = [piece for _, piece in ring.homogeneous_parts(v) if basis.add(piece)]
+    queue = []
+    for _, piece in ring.homogeneous_parts(v):
+        if generates(piece):
+            return full_space(n)
+        if basis.add(piece):
+            queue.append(piece)
     while queue and basis.dim < n:
         u = queue.pop()
         for j in range(n):
             for w in (ring.multiply_basis_right(u, j), ring.multiply_basis_left(j, u)):
-                if w and basis.add(w):
+                if not w:
+                    continue
+                if generates(w):
+                    return full_space(n)
+                if basis.add(w):
                     if basis.dim == n:
                         return basis.to_subspace()
                     queue.append(w)
@@ -226,8 +253,9 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
         return OracleResult(False, None, 0, "the product is identically zero")
     full = n
     tested = 0
+    generators: set[int] = set()
     for i in range(n):
-        closure = ideal_closure(ring, {i: ONE})
+        closure = ideal_closure(ring, {i: ONE}, generators=generators)
         tested += 1
         if closure.dim != full:
             return OracleResult(
@@ -236,6 +264,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
                 tested,
                 f"closure of basis vector {i} is a proper nonzero graded ideal",
             )
+        generators.add(i)
     one_indices = ring.indices_of_degree(ring.identity_degree())
     if one_indices and sample_count > 0:
         rng = random.Random(seed)
@@ -244,7 +273,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
             while not any(v):
                 for i in one_indices:
                     v[i] = Scalar(Fraction(rng.randint(-9, 9)))
-            closure = ideal_closure(ring, v)
+            closure = ideal_closure(ring, v, generators=generators)
             tested += 1
             if closure.dim != full:
                 return OracleResult(

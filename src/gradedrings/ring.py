@@ -272,7 +272,12 @@ class GradedRing:
             for j in range(n):
                 left = self.structure.get((i, j))
                 if left:
-                    for k in range(n):
+                    # both sides vanish unless e_j e_k or some e_m e_k with
+                    # e_m in e_i e_j is nonzero; sorted keeps the order of k
+                    ks = set(self._left_keys.get(j, ()))
+                    for m, _ in left:
+                        ks.update(self._left_keys.get(m, ()))
+                    for k in sorted(ks):
                         lhs = right_mul(left, k)
                         rhs = left_mul(i, self.structure.get((j, k), ()))
                         if lhs != rhs:

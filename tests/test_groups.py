@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,30 @@ def test_length_mismatch_raises():
         sig.compose((1,), (0, 0))
     with pytest.raises(MalformedInputError):
         sig.invert((1, 2, 3))
+
+
+@pytest.mark.parametrize("free_rank, torsion", [(0, (2,)), (0, (2, 3, 4)), (1, (3,)), (2, (2, 5))])
+def test_compose_and_invert_match_the_canonicalizing_formula(free_rank, torsion):
+    sig = GroupSignature(free_rank, torsion)
+    rng = random.Random(free_rank * 100 + len(torsion))
+    for _ in range(200):
+        # raw exponents, torsion coordinates not yet reduced
+        a = tuple(rng.randint(-20, 20) for _ in range(sig.length))
+        b = tuple(rng.randint(-20, 20) for _ in range(sig.length))
+        ca, cb = sig.element(a), sig.element(b)
+        assert sig.compose(a, b) == sig.element(tuple(x + y for x, y in zip(ca, cb)))
+        assert sig.invert(a) == sig.element(tuple(-x for x in ca))
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0)])
+def test_compose_and_invert_reject_malformed_elements(bad):
+    sig = GroupSignature(1, (3,))
+    with pytest.raises(MalformedInputError):
+        sig.compose(bad, (0, 0))
+    with pytest.raises(MalformedInputError):
+        sig.compose((0, 0), bad)
+    with pytest.raises(MalformedInputError):
+        sig.invert(bad)
 
 
 def test_torsion_must_be_sorted():

@@ -19,6 +19,7 @@ from gradedrings import (
     graded_simple_theorem,
     group_algebra,
     ideal_closure,
+    identity_products_span,
     induced_subring,
     is_coherent,
     is_graded_ideal,
@@ -223,18 +224,90 @@ def _closure_seeds(ring, rng):
     return seeds
 
 
+def _assert_closures_match_reference(ring, rng):
+    n = ring.dim
+    # exactly the basis indices whose closure is the whole ring
+    full = {i for i in range(n) if reference_closure(ring, unit_vector(n, i)).dim == n}
+    for v in _closure_seeds(ring, rng):
+        expected = reference_closure(ring, v)
+        assert ideal_closure(ring, v) == expected
+        assert ideal_closure(ring, v, generators=full) == expected
+
+
 @pytest.mark.parametrize("size,bands", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_closure_matches_fixpoint_reference_on_banded_rings(size, bands):
     ring = banded_ring(BandedRingParams(size, bands))
-    for v in _closure_seeds(ring, random.Random(size * 10 + bands)):
-        assert ideal_closure(ring, v) == reference_closure(ring, v)
+    _assert_closures_match_reference(ring, random.Random(size * 10 + bands))
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_closure_matches_fixpoint_reference_on_random_rings(seed):
     ring = random_ring(seed, RandomRingParams(max_dim=12))
-    for v in _closure_seeds(ring, random.Random(seed)):
-        assert ideal_closure(ring, v) == reference_closure(ring, v)
+    _assert_closures_match_reference(ring, random.Random(seed))
+
+
+def test_closure_reuse_needs_a_known_generator(band3x2):
+    # no basis vector of a two-band ring generates everything, so a
+    # single-entry product must not end the closure early
+    n = band3x2.dim
+    v = [ONE if i in (0, 4) else ZERO for i in range(n)]
+    closure = ideal_closure(band3x2, v, generators=frozenset())
+    assert closure.dim == 9
+    assert closure == ideal_closure(band3x2, unit_vector(n, 0))
+
+
+def reference_oracle(ring, sample_count=8, seed=0):
+    """The oracle's loop with every closure grown by ``reference_closure``,
+    so no closure reuses an earlier one."""
+    n = ring.dim
+    if n == 0 or not ring.structure:
+        return (False, None, 0, "the product is identically zero")
+    tested = 0
+    for i in range(n):
+        tested += 1
+        if reference_closure(ring, unit_vector(n, i)).dim != n:
+            return (False, unit_vector(n, i), tested,
+                    f"closure of basis vector {i} is a proper nonzero graded ideal")
+    one_indices = ring.indices_of_degree(ring.identity_degree())
+    if one_indices and sample_count > 0:
+        rng = random.Random(seed)
+        for _ in range(sample_count):
+            v = zero_vector(n)
+            while not any(v):
+                for i in one_indices:
+                    v[i] = Scalar(Fraction(rng.randint(-9, 9)))
+            tested += 1
+            if reference_closure(ring, v).dim != n:
+                return (False, v, tested,
+                        "closure of a sampled identity-component vector is proper")
+    if all(len(ring.indices_of_degree(g)) == 1 for g in ring.attained_degrees()):
+        return (True, None, tested, "every homogeneous line was tested")
+    if (
+        is_maximal_length(ring)
+        and identity_products_span(ring) == ring.identity_component()
+        and annihilator(ring).is_zero()
+    ):
+        return (True, None, tested,
+                "support lines generate everything and no ideal can hide in the identity "
+                "component")
+    return (None, None, tested, "identity component has untestable lines")
+
+
+ORACLE_RINGS = (
+    [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
+     for n in range(2, 6) for r in (1, 2)]
+    + [("group-2x3", lambda: group_algebra(GroupSignature(0, (2, 3))))]
+    + [(f"random-{seed}", lambda seed=seed: random_ring(seed)) for seed in range(40)]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_RINGS], ids=[i for i, _ in ORACLE_RINGS])
+def test_oracle_with_closure_reuse_matches_oracle_without(make):
+    ring = make()
+    result = graded_simple_oracle(ring)
+    assert (result.verdict, result.witness, result.closures_tested, result.reason) == (
+        reference_oracle(ring)
+    )
 
 
 def test_oracle_on_one_band_of_six_tests_44_closures():

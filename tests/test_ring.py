@@ -7,19 +7,22 @@ from gradedrings import (
     GradedRing,
     GroupSignature,
     MalformedInputError,
+    Scalar,
     annihilator,
     banded_ring,
     connection_classes,
+    group_algebra,
     identity_products_span,
     is_support_multiplicative,
     is_symmetric_support,
     pairing,
+    random_ring,
     unit_vector,
     vector,
 )
 from gradedrings.connections import _symmetrized
-from gradedrings.linalg import ONE, ZERO
-from gradedrings.ring import derived
+from gradedrings.linalg import ONE, ZERO, add_scaled
+from gradedrings.ring import ViolationReport, derived
 
 from conftest import (
     associativity_defect_ring,
@@ -197,6 +200,99 @@ def test_validate_reports_malformed_records():
 
 def test_zero_product_ring_validates():
     assert trivially_graded_zero_ring(3).validate().ok
+
+
+def dense_associativity_violations(ring):
+    """The associativity check with k running over every basis index when
+    e_i e_j is nonzero: the reference the sparse check must reproduce
+    violation for violation, in the same order."""
+    n = ring.dim
+    report = ViolationReport()
+
+    def right_mul(entries, k):
+        acc = {}
+        for m, c in entries:
+            add_scaled(acc, c, ring.structure.get((m, k), ()))
+        return acc
+
+    def left_mul(i, entries):
+        acc = {}
+        for m, c in entries:
+            add_scaled(acc, c, ring.structure.get((i, m), ()))
+        return acc
+
+    for i in range(n):
+        for j in range(n):
+            left = ring.structure.get((i, j))
+            if left:
+                for k in range(n):
+                    lhs = right_mul(left, k)
+                    rhs = left_mul(i, ring.structure.get((j, k), ()))
+                    if lhs != rhs:
+                        report.add(
+                            "associativity",
+                            (i, j, k),
+                            f"(e{i} e{j}) e{k} = {sorted(lhs.items())} but "
+                            f"e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                        )
+            else:
+                for k in ring._left_keys.get(j, ()):
+                    rhs = left_mul(i, ring.structure[(j, k)])
+                    if rhs:
+                        report.add(
+                            "associativity",
+                            (i, j, k),
+                            f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                        )
+    return report.violations
+
+
+def plant_defects(ring, rng):
+    """Add, change or drop one to three structure constants."""
+    n = ring.dim
+    structure = {key: dict(entries) for key, entries in ring.structure.items()}
+    for _ in range(rng.randint(1, 3)):
+        edit = rng.choice(("add", "change", "drop"))
+        if edit == "add" or not structure:
+            key = (rng.randrange(n), rng.randrange(n))
+            structure.setdefault(key, {})[rng.randrange(n)] = Scalar(rng.choice((-2, -1, 1, 3)))
+            continue
+        key = rng.choice(sorted(structure))
+        k = rng.choice(sorted(structure[key]))
+        if edit == "change":
+            structure[key][k] += Scalar(rng.choice((-1, 1, 2)))
+        else:
+            del structure[key][k]
+            if not structure[key]:
+                del structure[key]
+    planted = {key: list(entries.items()) for key, entries in structure.items()}
+    return GradedRing(ring.signature, ring.degrees, planted, ring.grams, ring.labels)
+
+
+ASSOCIATIVITY_BASES = (
+    [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
+     for n, r in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)]]
+    + [(f"group-{'x'.join(map(str, t))}", lambda t=t: group_algebra(GroupSignature(0, t)))
+       for t in [(2,), (5,), (2, 3), (2, 2)]]
+    + [(f"random-{seed}", lambda seed=seed: random_ring(seed)) for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in ASSOCIATIVITY_BASES], ids=[i for i, _ in ASSOCIATIVITY_BASES]
+)
+def test_sparse_associativity_check_matches_dense_reference(make):
+    base = make()
+    rng = random.Random(base.dim)
+    found = 0
+    for _ in range(8):
+        ring = plant_defects(base, rng)
+        report = ViolationReport()
+        ring._check_associativity(report)
+        expected = dense_associativity_violations(ring)
+        assert report.violations == expected
+        found += len(expected)
+    assert found
 
 
 def test_vector_length_mismatch():

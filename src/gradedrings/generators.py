@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError
 from .groups import GroupSignature
-from .linalg import ONE, Scalar, ZERO
+from .linalg import ONE, Scalar
 from .ring import GradedRing
 
 
@@ -120,9 +120,7 @@ def banded_ring(params: BandedRingParams) -> GradedRing:
     grams = []
     for w in params.weights:
         scale = Scalar(w)
-        grams.append(
-            [[scale if i == j else ZERO for j in range(dim)] for i in range(dim)]
-        )
+        grams.append([{i: scale} for i in range(dim)])
     return GradedRing(sig, degrees, structure, grams, labels)
 
 
@@ -141,7 +139,7 @@ def group_algebra(sig: GroupSignature) -> GradedRing:
         for j, h in enumerate(elements):
             structure[(i, j)] = [(index[sig.compose(g, h)], ONE)]
     dim = len(elements)
-    grams = [[[ONE if i == j else ZERO for j in range(dim)] for i in range(dim)]]
+    grams = [[{i: ONE} for i in range(dim)]]
     labels = ["g(" + ",".join(str(e) for e in g) + ")" for g in elements]
     return GradedRing(sig, elements, structure, grams, labels)
 
@@ -194,28 +192,13 @@ def direct_sum(a: GradedRing, b: GradedRing, embedding: str = "disjoint") -> Gra
         structure[(i, j)] = list(entries)
     for (i, j), entries in b.structure.items():
         structure[(i + off, j + off)] = [(k + off, c) for k, c in entries]
-    dim = a.dim + b.dim
     grams = []
     if a.dim:
         for gram in a.grams:
-            grams.append(
-                [
-                    [gram[i][j] if i < off and j < off else ZERO for j in range(dim)]
-                    if i < off
-                    else [ZERO] * dim
-                    for i in range(dim)
-                ]
-            )
+            grams.append(list(gram.sparse) + [{}] * b.dim)
     if b.dim:
         for gram in b.grams:
-            grams.append(
-                [
-                    [gram[i - off][j - off] if i >= off and j >= off else ZERO for j in range(dim)]
-                    if i >= off
-                    else [ZERO] * dim
-                    for i in range(dim)
-                ]
-            )
+            grams.append([{}] * off + [{j + off: x for j, x in row.items()} for row in gram.sparse])
     if not grams:
         grams = [tuple()]  # both summands were zero-dimensional
     return GradedRing(sig, degrees, structure, grams, labels)

@@ -18,6 +18,16 @@ which is a canonical form: its dense ``rows`` are identical exactly when
 two subspaces are equal, and its sparse rows are what the kernel computes
 with.
 
+A Gram matrix is held as a read-only :class:`Gram`: one sparse row
+``{j: nonzero Scalar}`` per row, plus a flag recording whether the input
+was square.  ``gram[i][j]`` and ``len(gram)`` read it as a dense matrix,
+built on first use, but every check, pairing and complement visits only the
+nonzero entries.  The functions that take a Gram (:func:`pairing`,
+:func:`is_hermitian`, :func:`psd_counterexample`, :func:`psd_check` and
+:func:`joint_orthogonal_complement`) accept a :class:`Gram`, a dense matrix
+(a sequence of rows of scalars) or sparse dict rows, converted once by
+:func:`as_gram`.
+
 Pairings against a Gram matrix G use the convention
 
     <x, y> = sum_ij  x_i * G[i][j] * conj(y_j),
@@ -260,16 +270,81 @@ def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
                 del v[j]
 
 
+# -- Gram matrices --------------------------------------------------------
+
+class Gram:
+    """A Gram matrix held by the nonzero entries of its rows; read-only.
+
+    ``sparse`` has one ``{j: nonzero Scalar}`` dict per row.  ``square``
+    records whether the input was square: every dense row as long as there
+    are rows, every sparse index in range.  ``gram[i][j]`` reads the dense
+    n x n matrix (``ZERO`` off the support), built on first use; of a
+    non-square input it holds the entries inside the n x n square.
+    """
+
+    __slots__ = ("sparse", "square", "_rows")
+
+    def __init__(self, rows):
+        rows = list(rows)
+        n = len(rows)
+        square = True
+        sparse = []
+        for row in rows:
+            if isinstance(row, dict):
+                square = square and all(0 <= j < n for j in row)
+                entries = row.items()
+            else:
+                square = square and len(row) == n
+                entries = enumerate(row)
+            out = {}
+            for j, x in entries:
+                x = as_scalar(x)
+                if x:
+                    out[j] = x
+            sparse.append(out)
+        self.sparse: tuple[dict[int, Scalar], ...] = tuple(sparse)
+        self.square = square
+        self._rows = None
+
+    @property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        if self._rows is None:
+            n = len(self.sparse)
+            self._rows = tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in self.sparse)
+        return self._rows
+
+    def __len__(self):
+        return len(self.sparse)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, Gram):
+            return NotImplemented
+        return self.square == other.square and self.sparse == other.sparse
+
+    def __repr__(self):
+        n = len(self.sparse)
+        return f"<Gram {n}x{n}, {sum(map(len, self.sparse))} nonzero>"
+
+
+def as_gram(gram) -> Gram:
+    """A :class:`Gram` as it is; dense or sparse dict rows converted."""
+    return gram if isinstance(gram, Gram) else Gram(gram)
+
+
 def pairing(u, v, gram) -> Scalar:
     """<u, v> against one Gram matrix (conjugate-linear in v)."""
+    rows = as_gram(gram).sparse
     conj_v = [(j, x.conjugate()) for j, x in as_sparse(v).items()]
     acc = ZERO
     for i, ui in as_sparse(u).items():
-        row = gram[i]
+        row = rows[i]
         part = ZERO
         for j, cj in conj_v:
-            g = row[j]
-            if g:
+            g = row.get(j)
+            if g is not None:
                 part = part + g * cj
         if part:
             acc = acc + ui * part
@@ -277,12 +352,15 @@ def pairing(u, v, gram) -> Scalar:
 
 
 def is_hermitian(gram) -> bool:
-    n = len(gram)
-    if any(len(row) != n for row in gram):
+    """Square, with the conjugate of every nonzero (i, j) entry at (j, i)."""
+    gram = as_gram(gram)
+    if not gram.square:
         return False
-    for i in range(n):
-        for j in range(i, n):
-            if gram[i][j] != gram[j][i].conjugate():
+    rows = gram.sparse
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            y = rows[j].get(i)
+            if y is None or x != y.conjugate():
                 return False
     return True
 
@@ -488,30 +566,23 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams) -> Subs
         raise MalformedInputError("ambient dimensions differ")
     if not outer.contains_subspace(inner):
         raise PreconditionError("inner subspace is not contained in the outer one")
+    grams = [as_gram(gram) for gram in grams]
     for a, gram in enumerate(grams):
         if len(gram) != n or not is_hermitian(gram):
             raise MalformedInputError(f"Gram {a} is not a Hermitian {n}x{n} matrix")
     if inner.is_zero() or outer.is_zero():
         return outer
-    # <x, s> = sum_j x_j * (G conj(s))_j is linear in x; collect one
-    # constraint row per (Gram, inner basis vector), then solve inside the
-    # coordinates of ``outer``.
+    # <x, s> = sum_j x_j * (G conj(s))_j is linear in x, and for Hermitian G
+    # (G conj(s))_j = conj(sum_k s_k G[k][j]); collect one constraint row per
+    # (Gram, inner basis vector), then solve inside the coordinates of ``outer``.
     constraints = []
     for gram in grams:
         for s in inner.sparse.values():
-            conj_s = [(k, x.conjugate()) for k, x in s.items()]
             row = {}
-            for j in range(n):
-                gj = gram[j]
-                acc = ZERO
-                for k, ck in conj_s:
-                    g = gj[k]
-                    if g:
-                        acc = acc + g * ck
-                if acc:
-                    row[j] = acc
+            for k, sk in s.items():
+                add_scaled(row, sk, gram.sparse[k].items())
             if row:
-                constraints.append(row)
+                constraints.append({j: x.conjugate() for j, x in row.items()})
     if not constraints:
         return outer
     # Rewrite each constraint in the coordinates y of x = sum_t y_t w_t.
@@ -544,11 +615,14 @@ def psd_counterexample(gram):
     surviving off-diagonal entry c yields the explicit witness
     -conj(c) * w_j + w_k of value -2|c|^2.
     """
-    n = len(gram)
+    gram = as_gram(gram)
     if not is_hermitian(gram):
         raise MalformedInputError("Gram matrix is not Hermitian")
-    # entries in eliminated columns go stale and are never read again
-    g = [as_sparse(row) for row in gram]
+    n = len(gram)
+    # entries in eliminated columns go stale and are never read again; the
+    # live block stays Hermitian, so the rows to update are the live columns
+    # of the pivot row
+    g = [dict(row) for row in gram.sparse]
     track = [{i: ONE} for i in range(n)]
     alive = list(range(n))
     live = set(alive)
@@ -570,11 +644,8 @@ def psd_counterexample(gram):
         live.remove(pivot)
         gp = [(k, x) for k, x in g[pivot].items() if k in live]
         wp = list(track[pivot].items())
-        for j in alive:
-            f = g[j].get(pivot)
-            if f is None:
-                continue
-            m = -(f / d)
+        for j, _ in gp:
+            m = -(g[j][pivot] / d)
             add_scaled(track[j], m, wp)
             add_scaled(g[j], m, gp)
     return None

@@ -342,7 +342,9 @@ def induced_subring(ring: GradedRing, sub: Subspace) -> GradedRing:
                 structure[(a, b)] = list(coordinates(prod).items())
     grams = []
     for gram in ring.grams:
-        grams.append([[pairing(rows[a], rows[b], gram) for b in range(m)] for a in range(m)])
+        grams.append(
+            [{b: p for b in range(m) if (p := pairing(rows[a], rows[b], gram))} for a in range(m)]
+        )
     labels = [f"s{t}" for t in range(m)]
     return GradedRing(ring.signature, degs, structure, grams, labels)
 

@@ -31,6 +31,7 @@ from .linalg import (
     Scalar,
     Subspace,
     add_scaled,
+    as_gram,
     as_scalar,
     as_sparse,
     coordinate_subspace,
@@ -95,7 +96,11 @@ class GradedRing:
     structure : mapping (i, j) -> iterable of (k, scalar) pairs
         Sparse structure constants: e_i e_j = sum_k c_k e_k.  Zero products
         may simply be omitted.
-    grams : sequence of square scalar matrices (at least one).
+    grams : sequence of Gram matrices (at least one).
+        Each is a :class:`~gradedrings.linalg.Gram`, dense rows of scalars
+        or sparse ``{j: scalar}`` rows, and is kept as a ``Gram`` built once
+        here: ``ring.grams[a][i][j]`` reads entries and every check visits
+        only the nonzero ones.
     labels : optional sequence of basis labels.
     """
 
@@ -116,9 +121,7 @@ class GradedRing:
             if row:
                 cleaned[(int(i), int(j))] = row
         self.structure = MappingProxyType(cleaned)
-        self.grams = tuple(
-            tuple(tuple(as_scalar(x) for x in row) for row in gram) for gram in grams
-        )
+        self.grams = tuple(as_gram(gram) for gram in grams)
         # index maps used all over the analyses
         self._by_degree: dict[Element, tuple[int, ...]] = {}
         for i, d in enumerate(self.degrees):
@@ -234,7 +237,7 @@ class GradedRing:
         if not self.grams:
             report.add("malformed", (), "at least one Gram matrix is required")
         for a, gram in enumerate(self.grams):
-            if len(gram) != n or any(len(row) != n for row in gram):
+            if len(gram) != n or not gram.square:
                 report.add("malformed", (a,), f"Gram {a} is not {n}x{n}")
             elif not is_hermitian(gram):
                 report.add("malformed", (a,), f"Gram {a} is not Hermitian")
@@ -268,6 +271,22 @@ class GradedRing:
                 add_scaled(acc, c, self.structure.get((i, m), ()))
             return acc
 
+        # e_i (e_j e_k) can be nonzero only when e_i e_m != 0 for a term m
+        # of e_j e_k: for each (i, j) with e_i e_j = 0, the k where that
+        # happens, in the order of _left_keys[j]
+        left_of: dict[int, list[int]] = {}
+        for (i, m) in self.structure:
+            left_of.setdefault(m, []).append(i)
+        zero_ks: dict[tuple[int, int], list[int]] = {}
+        for j, ks in self._left_keys.items():
+            for k in ks:
+                seen = set()
+                for m, _ in self.structure[(j, k)]:
+                    for i in left_of.get(m, ()):
+                        if i not in seen and (i, j) not in self.structure:
+                            seen.add(i)
+                            zero_ks.setdefault((i, j), []).append(k)
+
         for i in range(n):
             for j in range(n):
                 left = self.structure.get((i, j))
@@ -288,7 +307,7 @@ class GradedRing:
                                 f"e{i} (e{j} e{k}) = {sorted(rhs.items())}",
                             )
                 else:
-                    for k in self._left_keys.get(j, ()):
+                    for k in zero_ks.get((i, j), ()):
                         rhs = left_mul(i, self.structure[(j, k)])
                         if rhs:
                             report.add(
@@ -298,13 +317,11 @@ class GradedRing:
                             )
 
     def _check_orthogonality(self, report: ViolationReport) -> None:
-        n = self.dim
         for a, gram in enumerate(self.grams):
-            for i in range(n):
+            for i, row in enumerate(gram.sparse):
                 di = self.degrees[i]
-                row = gram[i]
-                for j in range(i + 1, n):
-                    if row[j] and self.degrees[j] != di:
+                for j in sorted(k for k in row if k > i):
+                    if self.degrees[j] != di:
                         report.add(
                             "orthogonality",
                             (a, i, j),
@@ -327,8 +344,8 @@ class GradedRing:
         n = self.dim
         total: list[dict[int, Scalar]] = [{} for _ in range(n)]
         for gram in self.grams:
-            for i, row in enumerate(gram):
-                add_scaled(total[i], ONE, as_sparse(row).items())
+            for i, row in enumerate(gram.sparse):
+                add_scaled(total[i], ONE, row.items())
         kernel = nullspace(total, n)
         if not kernel.is_zero():
             witness = kernel.rows[0]
@@ -353,7 +370,14 @@ class GradedRing:
         self._check_hausdorff(report)
         return report
 
-    # -- equality ------------------------------------------------------------
+    # -- equality and copying --------------------------------------------------
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the derived-value memo starts empty
+        return (
+            type(self),
+            (self.signature, self.degrees, dict(self.structure), self.grams, self.labels),
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GradedRing):

@@ -45,13 +45,12 @@ def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     for gram in ring.grams:
         n = len(gram)
         if n <= _DENSE_GRAM_LIMIT:
-            grams.append([[str(x) for x in row] for row in gram])
+            grams.append([[str(row.get(j, ZERO)) for j in range(n)] for row in gram.sparse])
         else:
             entries = [
-                {"i": i, "j": j, "scalar": str(x)}
-                for i, row in enumerate(gram)
-                for j, x in enumerate(row)
-                if x
+                {"i": i, "j": j, "scalar": str(row[j])}
+                for i, row in enumerate(gram.sparse)
+                for j in sorted(row)
             ]
             grams.append({"sparse": entries})
     return {
@@ -164,7 +163,7 @@ def ring_from_dict(data) -> GradedRing:
             entries = _need(gram, "sparse", where)
             if not isinstance(entries, list):
                 raise SpecFileError(f"{where}.sparse: expected a list")
-            dense = [[ZERO] * n for _ in range(n)]
+            rows = [{} for _ in range(n)]
             for idx, entry in enumerate(entries):
                 spot = f"{where}.sparse[{idx}]"
                 if not isinstance(entry, dict):
@@ -173,8 +172,8 @@ def ring_from_dict(data) -> GradedRing:
                 j = _as_int(_need(entry, "j", spot), f"{spot}.j")
                 if not (0 <= i < n and 0 <= j < n):
                     raise SpecFileError(f"{spot}: index ({i},{j}) out of range")
-                dense[i][j] = _parse_scalar(_need(entry, "scalar", spot), f"{spot}.scalar")
-            grams.append(dense)
+                rows[i][j] = _parse_scalar(_need(entry, "scalar", spot), f"{spot}.scalar")
+            grams.append(rows)
         elif isinstance(gram, list):
             if len(gram) != n or any(not isinstance(row, list) or len(row) != n for row in gram):
                 raise SpecFileError(f"{where}: expected a dense {n}x{n} matrix")

@@ -20,7 +20,15 @@ from gradedrings import (
     unit_vector,
     vector,
 )
-from gradedrings.linalg import ONE, ZERO, as_dense, is_hermitian
+from gradedrings.linalg import (
+    ONE,
+    ZERO,
+    Gram,
+    add_scaled,
+    as_dense,
+    as_sparse,
+    is_hermitian,
+)
 
 
 # -- scalars ---------------------------------------------------------------
@@ -409,3 +417,192 @@ def test_public_functions_take_and_give_dense_lists(band2):
     assert isinstance(band2.multiply_basis_left(0, u), list)
     witness = psd_counterexample([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(1)]])
     assert isinstance(witness, list) and len(witness) == 2
+
+
+# -- sparse Gram forms against dense references ----------------------------------
+#
+# The references below are the dense loops the Gram functions ran before
+# Grams were held sparse: every (i, j) entry of the matrix is visited.
+
+def dense_is_hermitian(gram):
+    n = len(gram)
+    if any(len(row) != n for row in gram):
+        return False
+    for i in range(n):
+        for j in range(i, n):
+            if gram[i][j] != gram[j][i].conjugate():
+                return False
+    return True
+
+
+def dense_pairing(u, v, gram):
+    conj_v = [(j, x.conjugate()) for j, x in as_sparse(v).items()]
+    acc = ZERO
+    for i, ui in as_sparse(u).items():
+        row = gram[i]
+        part = ZERO
+        for j, cj in conj_v:
+            g = row[j]
+            if g:
+                part = part + g * cj
+        if part:
+            acc = acc + ui * part
+    return acc
+
+
+def dense_psd_counterexample(gram):
+    n = len(gram)
+    assert dense_is_hermitian(gram)
+    g = [as_sparse(row) for row in gram]
+    track = [{i: ONE} for i in range(n)]
+    alive = list(range(n))
+    live = set(alive)
+    while alive:
+        pivot = next((i for i in alive if i in g[i]), None)
+        if pivot is None:
+            for j in alive:
+                ks = [k for k in g[j] if k != j and k in live]
+                if ks:
+                    k = min(ks)
+                    w = dict(track[k])
+                    add_scaled(w, -g[j][k].conjugate(), track[j].items())
+                    return as_dense(w, n)
+            return None
+        d = g[pivot][pivot]
+        if d.re < 0:
+            return as_dense(track[pivot], n)
+        alive.remove(pivot)
+        live.remove(pivot)
+        gp = [(k, x) for k, x in g[pivot].items() if k in live]
+        wp = list(track[pivot].items())
+        for j in alive:
+            f = g[j].get(pivot)
+            if f is None:
+                continue
+            m = -(f / d)
+            add_scaled(track[j], m, wp)
+            add_scaled(g[j], m, gp)
+    return None
+
+
+def dense_complement(inner, outer, grams):
+    """{x in outer : <x, s>_a = 0 for all s in inner and all a}, from one
+    dense constraint row (G conj(s)) per (Gram, inner basis vector)."""
+    n = outer.ambient
+    constraints = []
+    for gram in grams:
+        for s in inner.sparse.values():
+            conj_s = [(k, x.conjugate()) for k, x in s.items()]
+            row = {}
+            for j in range(n):
+                acc = ZERO
+                for k, ck in conj_s:
+                    g = gram[j][k]
+                    if g:
+                        acc = acc + g * ck
+                if acc:
+                    row[j] = acc
+            if row:
+                constraints.append(row)
+    return outer.intersect(nullspace(constraints, n))
+
+
+def _sparse_rows(gram):
+    return [{j: x for j, x in enumerate(row) if x} for row in gram]
+
+
+@st.composite
+def hermitian_grams(draw, n):
+    """A Hermitian n x n matrix with many zeros, over Q or Q(i)."""
+    entries = st.sampled_from(draw(st.sampled_from([RATIONAL_ENTRIES, GAUSSIAN_ENTRIES])))
+    gram = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = Scalar(draw(entries).re)
+        for j in range(i + 1, n):
+            x = draw(entries)
+            gram[i][j], gram[j][i] = x, x.conjugate()
+    return gram
+
+
+@st.composite
+def gram_systems(draw):
+    """One to two Hermitian Grams, an outer subspace spanned by sparse rows,
+    an inner subspace spanned by combinations of them, and probe vectors."""
+    n = draw(st.integers(1, 6))
+    grams = draw(st.lists(hermitian_grams(n), min_size=1, max_size=2))
+    entries = st.sampled_from(GAUSSIAN_ENTRIES)
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    outer_rows = draw(st.lists(vectors, max_size=4))
+    inner_rows = [
+        [sum((c * r[j] for c, r in zip(coeffs, outer_rows)), ZERO) for j in range(n)]
+        for coeffs in draw(st.lists(st.lists(entries, min_size=len(outer_rows),
+                                             max_size=len(outer_rows)), max_size=3))
+    ]
+    probes = draw(st.lists(vectors, min_size=2, max_size=4))
+    return n, grams, span(outer_rows, n), span(inner_rows, n), probes
+
+
+@settings(deadline=None, max_examples=150)
+@given(gram_systems())
+def test_sparse_gram_operations_match_dense_reference(system):
+    n, grams, outer, inner, probes = system
+    for gram in grams:
+        sparse = Gram(gram)
+        for form in (gram, sparse, _sparse_rows(gram)):
+            assert is_hermitian(form) and dense_is_hermitian(gram)
+            for u in probes:
+                for v in probes:
+                    assert pairing(u, v, form) == dense_pairing(u, v, gram)
+            assert psd_counterexample(form) == dense_psd_counterexample(gram)
+    assert joint_orthogonal_complement(inner, outer, grams) == dense_complement(inner, outer, grams)
+    sparse_grams = [Gram(gram) for gram in grams]
+    assert joint_orthogonal_complement(inner, outer, sparse_grams) == dense_complement(
+        inner, outer, grams
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 5).flatmap(hermitian_grams), st.integers(0, 99), st.integers(0, 99),
+       st.sampled_from(["lone", "diagonal", "mirror", "none"]))
+def test_hermitian_verdict_matches_dense_reference(gram, a, b, defect):
+    n = len(gram)
+    i, j = a % n, b % n
+    if defect == "lone" and i != j:
+        # an off-diagonal entry whose mirror is zero
+        gram[i][j], gram[j][i] = Scalar(1, 1), ZERO
+    elif defect == "diagonal":
+        gram[i][i] = gram[i][i] + Scalar(0, 1)
+    elif defect == "mirror" and i != j:
+        gram[i][j] = gram[j][i] = Scalar(2, 1)
+    expected = dense_is_hermitian(gram)
+    assert expected == (defect == "none" or (defect != "diagonal" and i == j))
+    assert is_hermitian(gram) == expected
+    assert is_hermitian(Gram(gram)) == expected
+    assert is_hermitian(_sparse_rows(gram)) == expected
+
+
+def test_gram_reads_as_a_dense_matrix():
+    i = Scalar(0, 1)
+    dense = [[Scalar(2), ZERO, i], [ZERO, ZERO, ZERO], [-i, ZERO, ONE]]
+    gram = Gram(dense)
+    assert gram.sparse == ({0: Scalar(2), 2: i}, {}, {0: -i, 2: ONE})
+    assert gram.square and len(gram) == 3
+    assert gram[0][2] == i and gram[1][1] == ZERO
+    assert [list(row) for row in gram] == dense
+    assert Gram([{0: 2, 2: i}, {1: 0}, {0: -i, 2: "1"}]) == gram
+    assert Gram(gram.sparse) == gram
+
+
+def test_gram_records_non_square_input():
+    assert not Gram([[ONE, ZERO], [ONE]]).square
+    assert not Gram([[ONE, ZERO, ZERO], [ZERO, ONE]]).square
+    assert not Gram([[ONE, ZERO]]).square
+    assert not Gram([{0: ONE}, {2: ONE}]).square
+    assert not Gram([{0: ONE}, {-1: ONE}]).square
+    assert Gram([]).square and Gram([{}, {1: ONE}]).square
+    assert not is_hermitian([[ONE, ZERO], [ZERO]])
+    assert not is_hermitian([{0: ONE}, {2: ONE}])
+    with pytest.raises(MalformedInputError):
+        psd_check([[ONE], [ZERO, ONE]])
+    with pytest.raises(MalformedInputError):
+        Gram([["one"]])

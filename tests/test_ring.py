@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from gradedrings import (
     vector,
 )
 from gradedrings.connections import _symmetrized
-from gradedrings.linalg import ONE, ZERO, add_scaled
+from gradedrings.linalg import ONE, ZERO, Gram, add_scaled
 from gradedrings.ring import ViolationReport, derived
 
 from conftest import (
@@ -293,6 +295,145 @@ def test_sparse_associativity_check_matches_dense_reference(make):
         assert report.violations == expected
         found += len(expected)
     assert found
+
+
+def plant_zero_products(ring, rng):
+    """Drop one or two whole products and add one on a pair whose product
+    was zero, so that e_i e_j = 0 while e_i (e_j e_k) need not be."""
+    n = ring.dim
+    structure = {key: list(entries) for key, entries in ring.structure.items()}
+    for key in rng.sample(sorted(structure), min(len(structure), rng.randint(1, 2))):
+        del structure[key]
+    free = [(i, j) for i in range(n) for j in range(n) if (i, j) not in ring.structure]
+    if free and rng.random() < 0.5:
+        structure[rng.choice(free)] = [(rng.randrange(n), ONE)]
+    return GradedRing(ring.signature, ring.degrees, structure, ring.grams, ring.labels)
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in ASSOCIATIVITY_BASES], ids=[i for i, _ in ASSOCIATIVITY_BASES]
+)
+def test_zero_product_branch_matches_dense_reference(make):
+    base = make()
+    rng = random.Random(base.dim + 1)
+    zero_branch = 0
+    for _ in range(6):
+        ring = plant_zero_products(base, rng)
+        report = ViolationReport()
+        ring._check_associativity(report)
+        expected = dense_associativity_violations(ring)
+        assert report.violations == expected
+        zero_branch += sum(" = 0 but " in v.detail for v in expected)
+    assert zero_branch
+
+
+# -- malformed and defective Gram families ------------------------------------------
+#
+# The expected lists were recorded from the dense Gram implementation.
+
+def _gram_defect_rings():
+    i = Scalar(0, 1)
+    sig0, sig1 = GroupSignature(0, ()), GroupSignature(1)
+
+    def ring(grams, sig=sig0, degrees=((), ()), labels=None):
+        return GradedRing(sig, degrees, {}, grams, labels)
+
+    not_2x2 = [("malformed", (0,), "Gram 0 is not 2x2")]
+    not_hermitian = [("malformed", (0,), "Gram 0 is not Hermitian")]
+    z5 = [ZERO] * 5
+    return [
+        (ring([[[ONE, ZERO], [ONE]]]), not_2x2),
+        (ring([[[ONE, ZERO]]]), not_2x2),
+        (ring([[[ONE, ZERO, ZERO], [ZERO, ONE]]]), not_2x2),
+        (ring([identity_gram(3)]), not_2x2),
+        (ring([[{0: ONE}, {2: ONE}]]), not_2x2),
+        (ring([[[ONE, ONE], [ZERO, ONE]]]), not_hermitian),
+        (ring([[{0: ONE, 1: ONE}, {1: ONE}]]), not_hermitian),
+        (ring([[[i, ZERO], [ZERO, ONE]]]), not_hermitian),
+        (ring([[[ONE, i], [i, ONE]]]), not_hermitian),
+        (
+            ring(
+                [
+                    identity_gram(3),
+                    [[ONE, ZERO, ZERO], [ZERO, ONE]],
+                    [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
+                    identity_gram(2),
+                ],
+                sig1,
+                [(0,), (1,), (1,)],
+                ["a", "b"],
+            ),
+            [
+                ("malformed", (), "2 labels for 3 basis elements"),
+                ("malformed", (1,), "Gram 1 is not 3x3"),
+                ("malformed", (2,), "Gram 2 is not Hermitian"),
+                ("malformed", (3,), "Gram 3 is not 3x3"),
+            ],
+        ),
+        (
+            ring(
+                [
+                    [
+                        [ONE, ZERO, ZERO, Scalar(1, 2), ONE],
+                        [ZERO, ONE, ZERO, Scalar(2), Scalar(3)],
+                        z5,
+                        [Scalar(1, -2), Scalar(2), ZERO, ONE, ZERO],
+                        [ONE, Scalar(3), ZERO, ZERO, ONE],
+                    ],
+                    [[ZERO, ZERO, i, ZERO, ZERO], z5, [-i, ZERO, ZERO, ZERO, ZERO], z5, z5],
+                ],
+                sig1,
+                [(0,), (1,), (0,), (2,), (1,)],
+            ),
+            [
+                ("orthogonality", (0, 0, 3),
+                 "Gram 0 pairs basis 0 (degree (0,)) with basis 3 (degree (2,)) as 1+2*i"),
+                ("orthogonality", (0, 0, 4),
+                 "Gram 0 pairs basis 0 (degree (0,)) with basis 4 (degree (1,)) as 1"),
+                ("orthogonality", (0, 1, 3),
+                 "Gram 0 pairs basis 1 (degree (1,)) with basis 3 (degree (2,)) as 2"),
+                ("psd", (0,), "Gram 0 is not positive semidefinite; "
+                 "witness [-1+2*i, -2, 0, 1, 0] has negative square"),
+                ("psd", (1,), "Gram 1 is not positive semidefinite; "
+                 "witness [0+1*i, 0, 1, 0, 0] has negative square"),
+            ],
+        ),
+        (
+            ring(
+                [[[ONE, ZERO, ONE], [ZERO] * 3, [ONE, ZERO, ONE]], [{}, {1: ONE}, {}]],
+                sig1,
+                [(0,), (1,), (0,)],
+            ),
+            [("hausdorff", (), "the Gram family does not separate points; "
+              "[1, 0, -1] is in the joint kernel")],
+        ),
+    ]
+
+
+def test_gram_defects_give_the_recorded_violations():
+    for ring, expected in _gram_defect_rings():
+        assert [(v.kind, v.where, v.detail) for v in ring.validate()] == expected
+        if all(g.square for g in ring.grams):
+            # the same Grams as sparse rows with their keys in descending order
+            grams = [[dict(sorted(row.items(), reverse=True)) for row in g.sparse] for g in ring.grams]
+            again = GradedRing(ring.signature, ring.degrees, {}, grams, ring.labels)
+            assert [(v.kind, v.where, v.detail) for v in again.validate()] == expected
+
+
+def test_ring_pickles_and_deep_copies_without_its_memo():
+    rings = [banded_ring(BandedRingParams(3, 2, weights=(1, 2))), random_ring(5)]
+    rings += [ring for ring, _ in _gram_defect_rings()]
+    for ring in rings:
+        ring.validate()
+        connection_classes(ring)
+        assert ring._derived
+        for twin in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring)):
+            assert twin == ring and twin is not ring
+            assert twin._derived == {}
+            assert all(isinstance(g, Gram) for g in twin.grams)
+            assert [g.square for g in twin.grams] == [g.square for g in ring.grams]
+            assert twin.validate().violations == ring.validate().violations
+            assert connection_classes(twin).blocks == connection_classes(ring).blocks
 
 
 def test_vector_length_mismatch():

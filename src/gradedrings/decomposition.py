@@ -21,6 +21,7 @@ even pairwise orthogonal with respect to every Gram.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 
 from .connections import ConnectionClasses, connection_classes
 from .errors import PreconditionError, TheoremViolationError
@@ -30,7 +31,7 @@ from .linalg import (
     Subspace,
     coordinate_subspace,
     joint_orthogonal_complement,
-    pairing,
+    pairing_vanishes,
 )
 from .ring import GradedRing, derived
 
@@ -94,15 +95,22 @@ def class_ideal(ring: GradedRing, block) -> Subspace:
 
 def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     """True iff the subspace absorbs products on both sides and splits as a
-    sum of its intersections with the homogeneous components."""
+    sum of its intersections with the homogeneous components.
+
+    A basis row u is multiplied only by the e_j that can give a nonzero
+    product: u e_j is the sum of u_i e_i e_j over i in supp u, so it is zero
+    unless (i, j) is a structure key for some such i, and e_j u is zero
+    unless (j, m) is one for some m in supp u.
+    """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
     rows = sub.sparse.values()
     for row in rows:
-        for j in range(ring.dim):
+        for j in ring.right_reach(row):
             w = ring.multiply_basis_right(row, j)
             if w and not sub.contains(w):
                 return False
+        for j in ring.left_reach(row):
             w = ring.multiply_basis_left(j, row)
             if w and not sub.contains(w):
                 return False
@@ -162,6 +170,13 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     exact.  When the complement is inexact (degenerate Gram family), the
     covering can genuinely fail and is reported honestly.  Orthogonality of
     distinct ideals is asserted whenever the identity component is coherent.
+
+    A pair of ideals is multiplied out only when some structure key (i, j)
+    has i in the support of the first and j in the support of the second:
+    otherwise every product u v, a sum of terms u_i v_j e_i e_j, is zero.
+    Likewise a pair is paired out under a Gram only when some Gram row of
+    the first support has an entry in the second (see
+    :func:`~gradedrings.linalg.pairing_vanishes`).
     """
     classes = connection_classes(ring)
     parts = [_class_parts(ring, block) for block in classes.blocks]
@@ -175,24 +190,20 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         eb.extend(ideal.sparse.values())
     covers = eb.dim == ring.dim
 
-    pairwise_zero = True
-    for a in range(len(ideals)):
-        for b in range(len(ideals)):
-            if a == b:
-                continue
-            for u in ideals[a].sparse.values():
-                for v in ideals[b].sparse.values():
-                    if ring.multiply(u, v):
-                        pairwise_zero = False
-
-    orthogonal = True
-    for a in range(len(ideals)):
-        for b in range(a + 1, len(ideals)):
-            for gram in ring.grams:
-                for u in ideals[a].sparse.values():
-                    for v in ideals[b].sparse.values():
-                        if pairing(u, v, gram):
-                            orthogonal = False
+    supports = [ideal.support() for ideal in ideals]
+    reach = [ring.right_reach(s) for s in supports]
+    pairwise_zero = not any(
+        ring.multiply(u, v)
+        for a, b in permutations(range(len(ideals)), 2)
+        if not reach[a].isdisjoint(supports[b])
+        for u in ideals[a].sparse.values()
+        for v in ideals[b].sparse.values()
+    )
+    orthogonal = all(
+        pairing_vanishes(ideals[a], ideals[b], gram)
+        for a, b in combinations(range(len(ideals)), 2)
+        for gram in ring.grams
+    )
 
     if not pairwise_zero:
         raise TheoremViolationError("ideals of distinct classes do not annihilate")

@@ -23,10 +23,10 @@ A Gram matrix is held as a read-only :class:`Gram`: one sparse row
 was square.  ``gram[i][j]`` and ``len(gram)`` read it as a dense matrix,
 built on first use, but every check, pairing and complement visits only the
 nonzero entries.  The functions that take a Gram (:func:`pairing`,
-:func:`is_hermitian`, :func:`psd_counterexample`, :func:`psd_check` and
-:func:`joint_orthogonal_complement`) accept a :class:`Gram`, a dense matrix
-(a sequence of rows of scalars) or sparse dict rows, converted once by
-:func:`as_gram`.
+:func:`pairing_vanishes`, :func:`is_hermitian`, :func:`psd_counterexample`,
+:func:`psd_check` and :func:`joint_orthogonal_complement`) accept a
+:class:`Gram`, a dense matrix (a sequence of rows of scalars) or sparse dict
+rows, converted once by :func:`as_gram`.
 
 Pairings against a Gram matrix G use the convention
 
@@ -74,17 +74,20 @@ class Scalar:
         if not isinstance(text, str):
             raise MalformedInputError(f"scalar must be a string, got {type(text).__name__}")
         m = cls._REAL_IMAG.match(text)
-        if m:
-            re_part = Fraction(m.group("re"))
-            if m.group("im") is None:
-                return cls(re_part)
-            im_part = Fraction(m.group("im"))
-            if m.group("sign") == "-":
-                im_part = -im_part
-            return cls(re_part, im_part)
-        m = cls._PURE_IMAG.match(text)
-        if m:
-            return cls(_F0, Fraction(m.group("im")))
+        try:
+            if m:
+                re_part = Fraction(m.group("re"))
+                if m.group("im") is None:
+                    return cls(re_part)
+                im_part = Fraction(m.group("im"))
+                return cls(re_part, -im_part if m.group("sign") == "-" else im_part)
+            m = cls._PURE_IMAG.match(text)
+            if m:
+                return cls(_F0, Fraction(m.group("im")))
+        except ZeroDivisionError:
+            raise MalformedInputError(f"scalar string {text!r} has a zero denominator") from None
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise MalformedInputError(f"cannot parse scalar string: {exc}") from None
         raise MalformedInputError(f"cannot parse scalar string {text!r}")
 
     @staticmethod
@@ -351,6 +354,20 @@ def pairing(u, v, gram) -> Scalar:
     return acc
 
 
+def pairing_vanishes(a: Subspace, b: Subspace, gram) -> bool:
+    """True iff <u, v> = 0 for every u in ``a`` and v in ``b``.
+
+    <u, v> is a sum of terms u_i G[i][j] conj(v_j), so it can be nonzero
+    only when a Gram row i in the support of ``a`` has an entry j in the
+    support of ``b``; when none does, no pairing is evaluated.
+    """
+    gram = as_gram(gram)
+    supp_b = b.support()
+    if all(supp_b.isdisjoint(gram.sparse[i]) for i in a.support()):
+        return True
+    return not any(pairing(u, v, gram) for u in a.sparse.values() for v in b.sparse.values())
+
+
 def is_hermitian(gram) -> bool:
     """Square, with the conjugate of every nonzero (i, j) entry at (j, i)."""
     gram = as_gram(gram)
@@ -442,7 +459,8 @@ class Subspace:
     ``sparse`` maps each pivot, in ascending order, to its sparse row; the
     kernel computes with these.  ``pivots`` lists the pivot columns and
     ``rows`` the same rows as dense tuples, built on first use: the
-    canonical form that hashing and reports use.
+    canonical form that reports use.  Equal subspaces have equal pivots,
+    so the pivots alone serve as the hash.
     """
 
     __slots__ = ("ambient", "sparse", "pivots", "_rows")
@@ -472,6 +490,10 @@ class Subspace:
 
     def basis(self) -> EchelonBasis:
         return EchelonBasis(self.ambient, self.sparse)
+
+    def support(self) -> set[int]:
+        """The coordinates at which some vector of the subspace is nonzero."""
+        return {j for row in self.sparse.values() for j in row}
 
     def contains(self, vec) -> bool:
         return not _reduce(self.sparse, as_sparse(vec, self.ambient))
@@ -511,7 +533,7 @@ class Subspace:
         return self.ambient == other.ambient and self.sparse == other.sparse
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.pivots))
 
     def __repr__(self):
         return f"<Subspace dim {self.dim} of {self.ambient}>"

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .connections import connection_classes, is_symmetric_support
@@ -46,6 +46,7 @@ from .linalg import (
     full_space,
     nullspace,
     pairing,
+    pairing_vanishes,
     unit_vector,
     zero_vector,
 )
@@ -70,8 +71,9 @@ def is_support_multiplicative(ring: GradedRing):
     sig = ring.signature
     sup = ring.support()
     one = ring.identity_degree()
+    partners = sorted(sup | {one})
     for g in sorted(sup):
-        for h in sorted(sup | {one}):
+        for h in partners:
             gh = sig.compose(g, h)
             if gh not in sup:
                 continue
@@ -106,56 +108,79 @@ def annihilator(ring: GradedRing) -> Subspace:
     return nullspace(rows.values(), ring.dim)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoherenceReport:
     """Outcome of the coherence check on the identity component."""
 
     span_ok: bool
-    pairing_failures: list[tuple[Element, Element, int]] = field(default_factory=list)
+    pairing_failures: tuple[tuple[Element, Element, int], ...] = ()
 
     @property
     def ok(self) -> bool:
         return self.span_ok and not self.pairing_failures
 
 
+@derived
 def is_coherent(ring: GradedRing) -> CoherenceReport:
     """Coherence of the identity component.
 
     Two conjuncts: (a) the span of all products of inverse-degree
     components equals the identity component; (b) for all support elements
     g, h and every Gram, the pairing between the product spaces
-    E_g E_{g^-1} and E_h E_{h^-1} vanishes identically exactly when the
-    pairing between E_g and E_h E_{h^-1} E_g does.  The compatibility is
-    checked at subspace level (a vanishing biconditional), which is the
-    strength the orthogonal-decomposition theorem actually uses.
+    P_g = E_g E_{g^-1} and P_h vanishes identically exactly when the
+    pairing between E_g and P_h E_g does.  The compatibility is checked at
+    subspace level (a vanishing biconditional), which is the strength the
+    orthogonal-decomposition theorem actually uses.  Failures are listed
+    as (g, h, Gram index) in ascending order.
+
+    Only the pairings that can be nonzero are evaluated:
+
+    * P_g depends on g only through the subspace it is, and many g share
+      one (in a banded ring every a(n, m) gives the line of a(n, n)), so
+      each distinct P_g is built once and the left side is decided once
+      per pair of distinct spans.  The right side depends on h only
+      through P_h, so it is decided once per g and distinct P_h.
+    * P_h E_g is spanned by products e_i e_j with i in supp P_h and e_j of
+      degree g; when no such (i, j) is a structure key it is zero, pairs to
+      zero with everything, and is not built.
+    * A pairing of two subspaces is evaluated only where a Gram row of one
+      support meets the other (:func:`~gradedrings.linalg.pairing_vanishes`).
     """
     sup = ring.sorted_support()
     sig = ring.signature
-    one = ring.identity_component()
-    span_ok = identity_products_span(ring) == one
+    span_ok = identity_products_span(ring) == ring.identity_component()
 
-    products = {
-        g: ring.product_span(ring.component(g), ring.component(sig.invert(g))) for g in sup
-    }
-    components = {g: ring.component(g) for g in sup}
+    spans: list[Subspace] = []  # the distinct P_g
+    span_of: dict[Element, int] = {}
+    known: dict[Subspace, int] = {}  # P_g -> its index in spans
+    for g in sup:
+        p = ring.product_span(ring.component(g), ring.component(sig.invert(g)))
+        if p not in known:
+            known[p] = len(spans)
+            spans.append(p)
+        span_of[g] = known[p]
+    reach = [ring.right_reach(p.support()) for p in spans]
+    grams = ring.grams
+    # per pair of distinct spans, per Gram: whether the left side vanishes
+    lhs_zero = [
+        [tuple(pairing_vanishes(p, q, gram) for gram in grams) for q in spans] for p in spans
+    ]
+
     failures = []
     for g in sup:
-        for h in sup:
-            rhs_space = ring.product_span(products[h], components[g])
-            for a, gram in enumerate(ring.grams):
-                lhs_zero = _pairing_vanishes(products[g], products[h], gram)
-                rhs_zero = _pairing_vanishes(components[g], rhs_space, gram)
-                if lhs_zero != rhs_zero:
-                    failures.append((g, h, a))
-    return CoherenceReport(span_ok, failures)
-
-
-def _pairing_vanishes(a: Subspace, b: Subspace, gram) -> bool:
-    for u in a.sparse.values():
-        for v in b.sparse.values():
-            if pairing(u, v, gram):
-                return False
-    return True
+        component = ring.component(g)
+        indices = ring.indices_of_degree(g)
+        failing = []  # per distinct P_h, the Grams where the two sides disagree
+        for q, lhs, reached in zip(spans, lhs_zero[span_of[g]], reach):
+            if reached.isdisjoint(indices):
+                rhs = (True,) * len(grams)
+            else:
+                rhs_space = ring.product_span(q, component)
+                rhs = tuple(pairing_vanishes(component, rhs_space, gram) for gram in grams)
+            failing.append([a for a, zero in enumerate(lhs) if zero != rhs[a]])
+        if any(failing):
+            failures.extend((g, h, a) for h in sup for a in failing[span_of[h]])
+    return CoherenceReport(span_ok, tuple(failures))
 
 
 def ideal_closure(

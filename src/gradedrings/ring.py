@@ -126,9 +126,13 @@ class GradedRing:
         self._by_degree: dict[Element, tuple[int, ...]] = {}
         for i, d in enumerate(self.degrees):
             self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
+        # j with (i, j) a structure key, per i; i with (i, j) one, per j;
+        # both in structure order
         self._left_keys: dict[int, tuple[int, ...]] = {}
+        self._right_keys: dict[int, tuple[int, ...]] = {}
         for (i, j) in self.structure:
             self._left_keys[i] = self._left_keys.get(i, ()) + (j,)
+            self._right_keys[j] = self._right_keys.get(j, ()) + (i,)
         self._derived: dict = {}
 
     # -- basic queries -----------------------------------------------------
@@ -207,6 +211,16 @@ class GradedRing:
                 add_scaled(out, uj, entries)
         return in_form_of(u, out, self.dim)
 
+    def right_reach(self, indices) -> set[int]:
+        """The j with (i, j) a structure key for some i in ``indices``: the
+        only e_j with u e_j possibly nonzero for u supported in ``indices``."""
+        return {j for i in indices for j in self._left_keys.get(i, ())}
+
+    def left_reach(self, indices) -> set[int]:
+        """The i with (i, m) a structure key for some m in ``indices``: the
+        only e_i with e_i u possibly nonzero for u supported in ``indices``."""
+        return {i for m in indices for i in self._right_keys.get(m, ())}
+
     def product_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all products of one subspace with another."""
         eb = EchelonBasis(self.dim)
@@ -274,15 +288,12 @@ class GradedRing:
         # e_i (e_j e_k) can be nonzero only when e_i e_m != 0 for a term m
         # of e_j e_k: for each (i, j) with e_i e_j = 0, the k where that
         # happens, in the order of _left_keys[j]
-        left_of: dict[int, list[int]] = {}
-        for (i, m) in self.structure:
-            left_of.setdefault(m, []).append(i)
         zero_ks: dict[tuple[int, int], list[int]] = {}
         for j, ks in self._left_keys.items():
             for k in ks:
                 seen = set()
                 for m, _ in self.structure[(j, k)]:
-                    for i in left_of.get(m, ()):
+                    for i in self._right_keys.get(m, ()):
                         if i not in seen and (i, j) not in self.structure:
                             seen.add(i)
                             zero_ks.setdefault((i, j), []).append(k)

@@ -197,6 +197,10 @@ def loads_ring(text: str) -> GradedRing:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise SpecFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SpecFileError("invalid JSON: arrays or objects nested too deeply") from None
     return ring_from_dict(data)
 
 
@@ -206,4 +210,8 @@ def load_ring(path) -> GradedRing:
             text = fh.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     return loads_ring(text)

@@ -260,3 +260,77 @@ def test_library_errors_are_not_reported_as_bad_input(capsys, tmp_path, monkeypa
     monkeypatch.setattr("gradedrings.cli.decompose", broken)
     with pytest.raises(ZeroDivisionError, match="planted"):
         main(["decompose", path])
+
+
+def banded_spec(edit):
+    from gradedrings import BandedRingParams, banded_ring, ring_to_dict
+
+    data = ring_to_dict(banded_ring(BandedRingParams(2, 1)))
+    edit(data)
+    return json.dumps(data)
+
+
+def set_structure_scalar(text):
+    def edit(data):
+        data["structure"][0]["scalar"] = text
+
+    return edit
+
+
+def set_dense_gram_scalar(text):
+    def edit(data):
+        data["grams"][0][1][1] = text
+
+    return edit
+
+
+def set_sparse_gram_scalar(text):
+    def edit(data):
+        entries = [{"i": 0, "j": 0, "scalar": "1"}, {"i": 1, "j": 1, "scalar": text}]
+        data["grams"][0] = {"sparse": entries}
+
+    return edit
+
+
+LONG_INTEGER = "1" + "0" * 5000  # past Python's 4300-digit int conversion limit
+
+MALFORMED_SPECS = [
+    (f"{where}-{text[:8]}", banded_spec(setter(text)), field)
+    for text in ("1/0", "0/0", "1+1/0*i", "1/0*i", LONG_INTEGER)
+    for where, setter, field in (
+        ("structure", set_structure_scalar, "structure[0].scalar"),
+        ("dense", set_dense_gram_scalar, "grams[0][1][1]"),
+        ("sparse", set_sparse_gram_scalar, "grams[0].sparse[1].scalar"),
+    )
+] + [
+    (
+        "json-integer",
+        banded_spec(lambda d: None).replace('"i": 0', f'"i": {LONG_INTEGER}', 1),
+        "invalid JSON",
+    ),
+    (
+        "json-nesting",
+        banded_spec(lambda d: None).replace("{}", "[" * 10**5 + "]" * 10**5),  # the metadata
+        "nested too deeply",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, field", [(t, f) for _, t, f in MALFORMED_SPECS], ids=[n for n, _, _ in MALFORMED_SPECS]
+)
+def test_malformed_numbers_exit_two_naming_the_field(capsys, tmp_path, text, field):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_non_utf8_file_exits_two_naming_the_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(banded_spec(lambda d: None).replace("a((1,1)", "\xe9((1,1)").encode("latin-1"))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot read") and str(path) in err and "UTF-8" in err

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from gradedrings import (
@@ -5,7 +8,9 @@ from gradedrings import (
     GradedRing,
     GroupSignature,
     PreconditionError,
+    Scalar,
     Subspace,
+    TheoremViolationError,
     banded_ring,
     class_component_sum,
     class_ideal,
@@ -14,6 +19,7 @@ from gradedrings import (
     decompose,
     direct_sum,
     full_space,
+    group_algebra,
     identity_complement,
     identity_products_span,
     is_graded_ideal,
@@ -21,7 +27,7 @@ from gradedrings import (
     span,
     unit_vector,
 )
-from gradedrings.linalg import ONE, ZERO
+from gradedrings.linalg import ONE, ZERO, coordinate_subspace
 
 from conftest import identity_gram, trivially_graded_zero_ring
 
@@ -262,3 +268,281 @@ def test_decompose_covering_on_random_instances():
         for ideal in dec.ideals:
             total.extend(ideal.rows)
         assert total.dim == ring.dim
+
+
+# -- the support-reach filters against the dense loops they replaced -------------
+
+def dense_is_graded_ideal(ring, sub):
+    """is_graded_ideal as it was before its support filter: every basis row
+    times every e_j, over range(dim), on both sides."""
+    rows = sub.sparse.values()
+    for row in rows:
+        for j in range(ring.dim):
+            w = ring.multiply_basis_right(row, j)
+            if w and not sub.contains(w):
+                return False
+            w = ring.multiply_basis_left(j, row)
+            if w and not sub.contains(w):
+                return False
+    for row in rows:
+        parts = ring.homogeneous_parts(row)
+        if len(parts) > 1 and not all(sub.contains(piece) for _, piece in parts):
+            return False
+    return True
+
+
+def graded_ideal_candidates(ring, rnd):
+    """Class ideals, sums of class ideals, component sums of random degree
+    sets, spans of random vectors and planted non-ideals (a class ideal
+    missing one basis row, one row plus a stray coordinate)."""
+    n = ring.dim
+    ideals = [class_ideal(ring, block) for block in connection_classes(ring).blocks]
+    out = list(ideals)
+    for a in range(len(ideals)):
+        for b in range(a + 1, len(ideals)):
+            out.append(ideals[a].sum(ideals[b]))
+    degrees = ring.attained_degrees()
+    for _ in range(4):
+        chosen = rnd.sample(degrees, rnd.randint(1, len(degrees)))
+        out.append(coordinate_subspace(n, (i for g in chosen for i in ring.indices_of_degree(g))))
+    for _ in range(4):
+        vectors = [
+            {
+                i: ONE * rnd.choice((1, -1, 2))
+                for i in rnd.sample(range(n), rnd.randint(1, min(3, n)))
+            }
+            for _ in range(rnd.randint(1, 3))
+        ]
+        out.append(span(vectors, n))
+    for ideal in ideals:
+        if ideal.dim > 1:
+            rows = list(ideal.sparse.values())
+            out.append(span(rows[:-1], n))
+            out.append(span(rows[:-1] + [{**rows[-1], rnd.randrange(n): ONE}], n))
+    return out
+
+
+GRADED_IDEAL_RINGS = (
+    [banded_ring(BandedRingParams(n, r)) for n, r in [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)]]
+    + [banded_ring(BandedRingParams(2, 3))]
+    + [group_algebra(GroupSignature(0, t)) for t in [(2,), (3,), (2, 2), (2, 3)]]
+    + [random_ring(seed) for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize("index", range(len(GRADED_IDEAL_RINGS)))
+def test_is_graded_ideal_matches_the_dense_loop(index):
+    ring = GRADED_IDEAL_RINGS[index]
+    verdicts = []
+    for sub in graded_ideal_candidates(ring, random.Random(index)):
+        verdict = is_graded_ideal(ring, sub)
+        assert verdict == dense_is_graded_ideal(ring, sub)
+        verdicts.append(verdict)
+    if ring.support():
+        assert True in verdicts and False in verdicts
+
+
+def planted_decompose_cases():
+    """Unvalidated rings with one defect across connection classes: a
+    structure constant e_i e_j = c e_k with i and j in different class
+    ideals, or a Gram entry coupling two class ideals (kept Hermitian, so
+    the identity complement still runs)."""
+    bases = [
+        ("band2x2", banded_ring(BandedRingParams(2, 2))),
+        ("band3x2", banded_ring(BandedRingParams(3, 2))),
+        ("band2x3", banded_ring(BandedRingParams(2, 3))),
+    ] + [(f"random{seed}", random_ring(seed)) for seed in (0, 1, 5, 11, 13, 19)]
+    coefficients = [ONE, Scalar(Fraction(-1, 2)), Scalar(0, 1)]
+    cases = []
+    for name, base in bases:
+        rnd = random.Random(name)
+        blocks = connection_classes(base).blocks
+        ones = list(base.indices_of_degree(base.identity_degree()))
+        members = [[i for g in block for i in base.indices_of_degree(g)] for block in blocks]
+        for t in range(6):
+            a, b = rnd.sample(range(len(blocks)), 2)
+            i, j = rnd.choice(members[a] + ones), rnd.choice(members[b])
+            if (i, j) in base.structure:
+                continue
+            structure = dict(base.structure)
+            structure[(i, j)] = [(rnd.randrange(base.dim), rnd.choice(coefficients))]
+            ring = GradedRing(base.signature, base.degrees, structure, base.grams, base.labels)
+            cases.append((f"{name}-structure{t}", ring))
+        for t in range(4):
+            a, b = rnd.sample(range(len(blocks)), 2)
+            x, y = rnd.choice(members[a] + ones), rnd.choice(members[b])
+            c = rnd.choice(coefficients)
+            rows = [dict(row) for row in base.grams[0].sparse]
+            rows[x][y], rows[y][x] = c, c.conjugate()
+            grams = [rows] + list(base.grams[1:])
+            ring = GradedRing(base.signature, base.degrees, base.structure, grams, base.labels)
+            cases.append((f"{name}-gram{t}", ring))
+    # two classes whose identity spans share the line of u: the planted
+    # e_w1 e_w2 = u keeps both class ideals ideals, so only their product
+    # is nonzero
+    sig = GroupSignature(2)
+    degrees = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]  # u, w1, w1', w2, w2'
+    structure = {(1, 2): [(0, ONE)], (2, 1): [(0, ONE)], (3, 4): [(0, ONE)], (4, 3): [(0, ONE)]}
+    planted = {**structure, (1, 3): [(0, ONE)]}
+    cases.append(("overlap-structure", GradedRing(sig, degrees, planted, [identity_gram(5)])))
+    return cases
+
+
+def decompose_outcome(ring):
+    try:
+        dec = decompose(ring)
+    except TheoremViolationError as exc:
+        return (type(exc).__name__, str(exc))
+    return (
+        dec.covers, dec.pairwise_zero, dec.orthogonal_ideals, dec.coherent, dec.complement_exact
+    )
+
+
+PLANTED_DECOMPOSE_CASES = planted_decompose_cases()
+
+# decompose on each planted case, recorded with the quadratic ideal-pair,
+# pairing and coherence loops that the support-reach filters replaced
+RECORDED_DECOMPOSE_OUTCOMES = {
+    'band2x2-structure0': ('TheoremViolationError', 'class ideal of [(-1, 0, 1, 0), (1, 0, -1, 0)] failed the graded-ideal check'),
+    'band2x2-structure1': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 1), (0, 1, 0, -1)] failed the graded-ideal check'),
+    'band2x2-structure3': ('TheoremViolationError', 'class ideal of [(-1, 0, 1, 0), (1, 0, -1, 0)] failed the graded-ideal check'),
+    'band2x2-structure4': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 1), (0, 1, 0, -1)] failed the graded-ideal check'),
+    'band2x2-structure5': ('TheoremViolationError', 'class ideal of [(-1, 0, 1, 0), (1, 0, -1, 0)] failed the graded-ideal check'),
+    'band2x2-gram0': (True, True, True, True, True),
+    'band2x2-gram1': (True, True, True, True, True),
+    'band2x2-gram2': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'band2x2-gram3': (True, True, True, True, True),
+    'band3x2-structure0': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (-1, 0, 1, 0, 0, 0), (0, 0, -1, 0, 1, 0), (0, 0, 1, 0, -1, 0), (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'band3x2-structure1': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (-1, 0, 1, 0, 0, 0), (0, 0, -1, 0, 1, 0), (0, 0, 1, 0, -1, 0), (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'band3x2-structure2': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (-1, 0, 1, 0, 0, 0), (0, 0, -1, 0, 1, 0), (0, 0, 1, 0, -1, 0), (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'band3x2-structure3': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (-1, 0, 1, 0, 0, 0), (0, 0, -1, 0, 1, 0), (0, 0, 1, 0, -1, 0), (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'band3x2-structure5': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 0, 0, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, -1, 0, 1), (0, 0, 0, 1, 0, -1), (0, 1, 0, -1, 0, 0), (0, 1, 0, 0, 0, -1)] failed the graded-ideal check'),
+    'band3x2-gram0': (True, True, True, True, True),
+    'band3x2-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'band3x2-gram2': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'band3x2-gram3': (True, True, True, True, True),
+    'band2x3-structure1': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 0, 0, 1), (0, 0, 1, 0, 0, -1)] failed the graded-ideal check'),
+    'band2x3-structure2': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 0, 1, 0), (0, 1, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'band2x3-structure3': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 1, 0, 0), (1, 0, 0, -1, 0, 0)] failed the graded-ideal check'),
+    'band2x3-structure4': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 0, 0, 1), (0, 0, 1, 0, 0, -1)] failed the graded-ideal check'),
+    'band2x3-structure5': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 1, 0, 0), (1, 0, 0, -1, 0, 0)] failed the graded-ideal check'),
+    'band2x3-gram0': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'band2x3-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'band2x3-gram2': (True, True, True, True, True),
+    'band2x3-gram3': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random0-structure0': (True, True, True, False, True),
+    'random0-structure1': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 1)] failed the graded-ideal check'),
+    'random0-structure2': (True, True, True, True, True),
+    'random0-structure3': (True, True, True, True, True),
+    'random0-structure4': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 1, 0), (-1, 0, 1, 0, 0), (-1, 1, 0, 0, 0), (0, -1, 0, 1, 0), (0, -1, 1, 0, 0), (0, 0, -1, 1, 0), (0, 0, 1, -1, 0), (0, 1, -1, 0, 0), (0, 1, 0, -1, 0), (1, -1, 0, 0, 0), (1, 0, -1, 0, 0), (1, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'random0-structure5': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 1)] failed the graded-ideal check'),
+    'random0-gram0': (True, True, True, True, True),
+    'random0-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random0-gram2': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random0-gram3': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random1-structure0': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 1, 0, 0), (0, 1, 0, -1, 0, 0)] failed the graded-ideal check'),
+    'random1-structure1': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'random1-structure2': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 0, 0, 1), (0, 0, 1, 0, 0, -1)] failed the graded-ideal check'),
+    'random1-structure3': ('TheoremViolationError', 'class ideal of [(0, -1, 0, 1, 0, 0), (0, 1, 0, -1, 0, 0)] failed the graded-ideal check'),
+    'random1-structure4': ('TheoremViolationError', 'class ideal of [(-1, 0, 0, 0, 1, 0), (1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'random1-structure5': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 0, 0, 1), (0, 0, 1, 0, 0, -1)] failed the graded-ideal check'),
+    'random1-gram0': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random1-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random1-gram2': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random1-gram3': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random5-structure0': ('TheoremViolationError', 'class ideal of [(-1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0)] failed the graded-ideal check'),
+    'random5-structure1': ('TheoremViolationError', 'class ideal of [(-1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0)] failed the graded-ideal check'),
+    'random5-structure2': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1), (0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, -1)] failed the graded-ideal check'),
+    'random5-structure3': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0)] failed the graded-ideal check'),
+    'random5-structure4': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0)] failed the graded-ideal check'),
+    'random5-structure5': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0, 0)] failed the graded-ideal check'),
+    'random5-gram0': (True, True, True, False, True),
+    'random5-gram1': (True, True, False, False, True),
+    'random5-gram2': (True, True, True, False, True),
+    'random5-gram3': (True, True, True, False, True),
+    'random11-structure1': ('TheoremViolationError', 'class ideal of [(-1, 1, 0), (1, -1, 0)] failed the graded-ideal check'),
+    'random11-structure2': ('TheoremViolationError', 'class ideal of [(-1, 1, 0), (1, -1, 0)] failed the graded-ideal check'),
+    'random11-structure3': ('TheoremViolationError', 'class ideal of [(-1, 1, 0), (1, -1, 0)] failed the graded-ideal check'),
+    'random11-structure4': ('TheoremViolationError', 'class ideal of [(-1, 1, 0), (1, -1, 0)] failed the graded-ideal check'),
+    'random11-structure5': ('TheoremViolationError', 'class ideal of [(-1, 1, 0), (1, -1, 0)] failed the graded-ideal check'),
+    'random11-gram0': (True, True, True, True, True),
+    'random11-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random11-gram2': (True, True, True, True, True),
+    'random11-gram3': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random13-structure0': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 1), (0, 0, 1, -1)] failed the graded-ideal check'),
+    'random13-structure1': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 1), (0, 0, 1, -1)] failed the graded-ideal check'),
+    'random13-structure3': ('TheoremViolationError', 'class ideal of [(0, 0, -1, 1), (0, 0, 1, -1)] failed the graded-ideal check'),
+    'random13-structure4': ('TheoremViolationError', 'class ideal of [(-1, 1, 0, 0), (1, -1, 0, 0)] failed the graded-ideal check'),
+    'random13-gram0': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random13-gram1': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random13-gram2': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random13-gram3': ('TheoremViolationError', 'identity component is coherent but the class ideals are not orthogonal'),
+    'random19-structure0': ('TheoremViolationError', 'class ideal of [(0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0)] failed the graded-ideal check'),
+    'random19-structure1': ('TheoremViolationError', 'class ideal of [(0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0)] failed the graded-ideal check'),
+    'random19-structure2': (True, True, True, False, True),
+    'random19-structure3': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0)] failed the graded-ideal check'),
+    'random19-structure4': ('TheoremViolationError', 'class ideal of [(0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0)] failed the graded-ideal check'),
+    'random19-structure5': ('TheoremViolationError', 'class ideal of [(0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0), (0, 0, 0, 0, 0, 0, 0, 1, -1, 0, 0)] failed the graded-ideal check'),
+    'random19-gram0': (True, True, True, False, True),
+    'random19-gram1': (True, True, False, False, True),
+    'random19-gram2': (True, True, True, False, True),
+    'random19-gram3': (True, True, False, False, True),
+    'overlap-structure': ('TheoremViolationError', 'ideals of distinct classes do not annihilate'),
+}
+
+
+@pytest.mark.parametrize(
+    "name, ring", PLANTED_DECOMPOSE_CASES, ids=[n for n, _ in PLANTED_DECOMPOSE_CASES]
+)
+def test_planted_cross_class_defects_decompose_as_recorded(name, ring):
+    assert decompose_outcome(ring) == RECORDED_DECOMPOSE_OUTCOMES[name]
+
+
+def test_planted_cases_reach_every_outcome():
+    outcomes = RECORDED_DECOMPOSE_OUTCOMES.values()
+    messages = {o[1] for o in outcomes if o[0] == "TheoremViolationError"}
+    assert "ideals of distinct classes do not annihilate" in messages
+    assert "identity component is coherent but the class ideals are not orthogonal" in messages
+    assert any(m.endswith("failed the graded-ideal check") for m in messages)
+    assert (True, True, False, False, True) in outcomes  # not orthogonal, not coherent
+    assert len(RECORDED_DECOMPOSE_OUTCOMES) == len(PLANTED_DECOMPOSE_CASES)
+
+
+def test_decompose_work_is_sized_to_its_answer(monkeypatch):
+    """Counts, not seconds: on banded (5, 3) with two Grams the quadratic
+    loops made 11,430 pairings and 18,660 ring products; the answer needs
+    a few hundred.  A loop that visits every pair again fails here."""
+    import importlib
+    import pkgutil
+
+    import gradedrings
+    from gradedrings import linalg, properties
+
+    counts = {"pairing": 0, "products": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [gradedrings] + [
+        importlib.import_module(f"gradedrings.{info.name}")
+        for info in pkgutil.iter_modules(gradedrings.__path__)
+        if info.name != "__main__"
+    ]
+    original = linalg.pairing
+    pairing = counted(original, "pairing")
+    for module in modules:
+        if vars(module).get("pairing") is original:
+            monkeypatch.setattr(module, "pairing", pairing)
+    assert linalg.pairing is pairing and properties.pairing is pairing
+    for name in ("multiply", "multiply_basis_left", "multiply_basis_right"):
+        monkeypatch.setattr(GradedRing, name, counted(getattr(GradedRing, name), "products"))
+
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    dec = decompose(ring)
+    assert dec.covers and dec.pairwise_zero and dec.orthogonal_ideals and dec.coherent
+    assert 0 < counts["pairing"] <= 11430 // 10
+    assert 0 < counts["products"] <= 18660 // 10

@@ -32,7 +32,7 @@ from gradedrings import (
     unit_vector,
     zero_vector,
 )
-from gradedrings.linalg import ONE, ZERO
+from gradedrings.linalg import ONE, ZERO, pairing
 
 from conftest import identity_gram, trivially_graded_zero_ring
 
@@ -471,3 +471,140 @@ def test_property_report_is_assembled_consistently(band3):
     assert props.simple_by_theorem is True
     assert props.simple_by_oracle is True
     assert all(props.hypotheses.values())
+
+
+# -- is_coherent against the dense triple loop it replaced ---------------------------
+
+def dense_pairing_vanishes(a, b, gram):
+    return all(not pairing(u, v, gram) for u in a.sparse.values() for v in b.sparse.values())
+
+
+def dense_coherence(ring):
+    """is_coherent as it was before its span memo and support filters: one
+    product span and two subspace pairings per (g, h, Gram)."""
+    sup = ring.sorted_support()
+    sig = ring.signature
+    span_ok = identity_products_span(ring) == ring.identity_component()
+    products = {
+        g: ring.product_span(ring.component(g), ring.component(sig.invert(g))) for g in sup
+    }
+    components = {g: ring.component(g) for g in sup}
+    failures = []
+    for g in sup:
+        for h in sup:
+            rhs_space = ring.product_span(products[h], components[g])
+            for a, gram in enumerate(ring.grams):
+                lhs_zero = dense_pairing_vanishes(products[g], products[h], gram)
+                rhs_zero = dense_pairing_vanishes(components[g], rhs_space, gram)
+                if lhs_zero != rhs_zero:
+                    failures.append((g, h, a))
+    return span_ok, tuple(failures)
+
+
+def coupled_gram(ring, couplings, diagonal=2):
+    """``diagonal`` times the identity plus c at (x, y) and conj(c) at (y, x)
+    for each (x, y, c); diagonally dominant, so positive definite."""
+    rows = [{i: Scalar(diagonal)} for i in range(ring.dim)]
+    for x, y, c in couplings:
+        rows[x][y], rows[y][x] = c, c.conjugate()
+    return rows
+
+
+def planted_coherence_rings():
+    """Gram families that pair identity-degree units of different product
+    spans, within a band and across bands, with rational and
+    Gaussian-rational couplings, alone or beside other Grams."""
+    half_i = Scalar(0, Fraction(1, 2))
+    third = Scalar(Fraction(1, 3), Fraction(1, 3))
+    out = []
+    for size, bands in [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]:
+        base = banded_ring(BandedRingParams(size, bands))
+        ones = base.indices_of_degree(base.identity_degree())
+        pairs = [(x, y) for x in ones for y in ones if x < y]
+        for t, (x, y) in enumerate(pairs):
+            c = (ONE, half_i, third)[t % 3]
+            families = [
+                [coupled_gram(base, [(x, y, c)])],
+                list(base.grams) + [coupled_gram(base, [(x, y, c)])],
+                [coupled_gram(base, [(x, y, c)], 3), coupled_gram(base, [(x, y, ONE)], 5)],
+            ]
+            if len(pairs) > 1:
+                x2, y2 = pairs[(t + 1) % len(pairs)]
+                families.append(
+                    list(base.grams)
+                    + [coupled_gram(base, [(x, y, c)]), coupled_gram(base, [(x2, y2, half_i)])]
+                )
+            for grams in families:
+                out.append(
+                    GradedRing(base.signature, base.degrees, base.structure, grams, base.labels)
+                )
+    return out
+
+
+def rebased_band2x2(weights):
+    """banded (2, 2) with its first diagonal units e, f (identity degree)
+    replaced by b = e + f and c = e - f, and a Gram of weights[0] at b,
+    weights[1] at c and 2 elsewhere.  The two bands' product spans are then
+    the lines of b + c and b - c: distinct spans with the same pivot."""
+    ring = banded_ring(BandedRingParams(2, 2))
+    e = ring.labels.index("a((1,1),(1,1))")
+    f = ring.labels.index("a((1,2),(1,2))")
+    half = Scalar(Fraction(1, 2))
+    basis = [{i: ONE} for i in range(ring.dim)]
+    basis[e], basis[f] = {e: ONE, f: ONE}, {e: ONE, f: -ONE}
+
+    def coordinates(v):
+        out = dict(v)
+        x, y = out.pop(e, ZERO), out.pop(f, ZERO)
+        # x e + y f = (x + y)/2 b + (x - y)/2 c
+        for k, value in ((e, (x + y) * half), (f, (x - y) * half)):
+            if value:
+                out[k] = value
+        return sorted(out.items())
+
+    structure = {}
+    for a in range(ring.dim):
+        for b in range(ring.dim):
+            w = ring.multiply(basis[a], basis[b])
+            if w:
+                structure[(a, b)] = coordinates(w)
+    gram = [{i: Scalar(2)} for i in range(ring.dim)]
+    gram[e], gram[f] = {e: Scalar(weights[0])}, {f: Scalar(weights[1])}
+    return GradedRing(ring.signature, ring.degrees, structure, [gram], ring.labels)
+
+
+COHERENCE_RINGS = (
+    [
+        banded_ring(BandedRingParams(n, r))
+        for n, r in [(1, 1), (1, 2), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)]
+    ]
+    + [banded_ring(BandedRingParams(3, 2, weights=(Fraction(1), Fraction(5, 2))))]
+    + [group_algebra(GroupSignature(0, t)) for t in [(2,), (3,), (4,), (2, 2), (2, 3)]]
+    + [random_ring(seed) for seed in range(40)]
+    + [rebased_band2x2((2, 2)), rebased_band2x2((3, 1))]
+)
+PLANTED_COHERENCE_RINGS = planted_coherence_rings()
+
+
+@pytest.mark.parametrize("index", range(len(COHERENCE_RINGS)))
+def test_is_coherent_matches_the_dense_loop(index):
+    ring = COHERENCE_RINGS[index]
+    report = is_coherent(ring)
+    assert (report.span_ok, report.pairing_failures) == dense_coherence(ring)
+
+
+def test_is_coherent_matches_the_dense_loop_on_planted_gram_couplings():
+    failing = 0
+    for ring in PLANTED_COHERENCE_RINGS:
+        assert ring.validate().ok
+        report = is_coherent(ring)
+        assert (report.span_ok, report.pairing_failures) == dense_coherence(ring)
+        failing += bool(report.pairing_failures)
+    assert failing > len(PLANTED_COHERENCE_RINGS) // 2
+
+
+def test_coherence_is_computed_once_per_ring(band3x2):
+    assert is_coherent(band3x2) is is_coherent(band3x2)
+    assert decompose(band3x2).coherent == is_coherent(band3x2).ok
+    with pytest.raises(AttributeError):
+        is_coherent(band3x2).span_ok = False

@@ -6,6 +6,7 @@ from gradedrings import (
     BandedRingParams,
     GradedRing,
     GroupSignature,
+    MalformedInputError,
     Scalar,
     SpecFileError,
     banded_ring,
@@ -140,3 +141,13 @@ def test_gram_shape_rejected():
     data["grams"][0] = [["1", "0"], ["0", "1"]]  # wrong size for dim 4
     with pytest.raises(SpecFileError, match=r"grams\[0\]"):
         ring_from_dict(data)
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "1+1/0*i", "1-2/0*i", "3/0*i", "1" + "0" * 5000])
+def test_unrepresentable_scalars_are_malformed_input(text):
+    with pytest.raises(MalformedInputError):
+        Scalar.from_string(text)
+    data = ring_to_dict(banded_ring(BandedRingParams(2, 1)))
+    data["structure"][1]["scalar"] = text
+    with pytest.raises(SpecFileError, match=r"structure\[1\]\.scalar"):
+        loads_ring(json.dumps(data))

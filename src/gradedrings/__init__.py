@@ -80,67 +80,9 @@ from .specfile import dumps_ring, load_ring, loads_ring, ring_from_dict, ring_to
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandedRingParams",
-    "CoherenceReport",
-    "ConnectionClasses",
-    "ConnectionPath",
-    "EchelonBasis",
-    "GradedRing",
-    "GradedRingsError",
-    "GroupSignature",
-    "IdealDecomposition",
-    "MalformedInputError",
-    "OracleResult",
-    "PreconditionError",
-    "PropertyReport",
-    "RandomRingParams",
-    "Scalar",
-    "SpecFileError",
-    "Subspace",
-    "TheoremViolationError",
-    "Violation",
-    "ViolationReport",
-    "annihilator",
-    "banded_ring",
-    "class_component_sum",
-    "class_ideal",
-    "class_identity_span",
-    "connected",
-    "connection_classes",
-    "decompose",
-    "direct_sum",
-    "dumps_ring",
-    "first_primes",
-    "full_space",
-    "graded_simple_oracle",
-    "graded_simple_theorem",
-    "group_algebra",
-    "ideal_closure",
-    "identity_complement",
-    "identity_products_span",
-    "induced_subring",
-    "is_coherent",
-    "is_graded_ideal",
-    "is_maximal_length",
-    "is_support_multiplicative",
-    "is_symmetric_support",
-    "joint_orthogonal_complement",
-    "load_ring",
-    "loads_ring",
-    "nullspace",
-    "pairing",
-    "properties_report",
-    "psd_check",
-    "psd_counterexample",
-    "random_ring",
-    "ring_from_dict",
-    "ring_to_dict",
-    "save_ring",
-    "span",
-    "theorem_hypotheses",
-    "unit_vector",
-    "vector",
-    "verify_certificate",
-    "zero_vector",
-]
+# the public names are exactly the classes and functions imported above
+__all__ = sorted(
+    name
+    for name, obj in globals().items()
+    if getattr(obj, "__module__", "").startswith(f"{__name__}.")
+)

@@ -64,11 +64,10 @@ class ConnectionClasses:
 
 @derived
 def _symmetrized(ring: GradedRing):
-    """Support, and the support with its inverses as sorted tuple and set."""
-    sig = ring.signature
-    sup = ring.support()
-    closure = sup | {sig.invert(g) for g in sup}
-    return sup, tuple(sorted(closure)), closure
+    """The support with its inverses, as sorted tuple and as set."""
+    table = ring.degree_table()
+    closure = table.support.union(table.inverse.values())
+    return tuple(sorted(closure)), closure
 
 
 def _bfs(ring: GradedRing, start: Element, targets=None):
@@ -78,8 +77,8 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
     lands in ``targets`` and return the element trail; otherwise exhaust the
     reachable states and return the parent map.
     """
-    sig = ring.signature
-    _, steps, closure = _symmetrized(ring)
+    law = ring.signature.compose_canonical
+    steps, closure = _symmetrized(ring)
     parent: dict[Element, tuple[Element, Element] | None] = {start: None}
 
     def trail(state):
@@ -100,7 +99,7 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
     while queue:
         state = queue.popleft()
         for x in steps:
-            nxt = sig.compose(state, x)
+            nxt = law(state, x)
             if targets is not None and nxt in targets:
                 return trail(state) + (x,)
             if nxt in closure and nxt not in parent:
@@ -135,7 +134,8 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
     """
     try:
         sig = ring.signature
-        sup, _, closure = _symmetrized(ring)
+        sup = ring.support()
+        _, closure = _symmetrized(ring)
         source = sig.element(path.source)
         target = sig.element(path.target)
         if source not in sup or target not in sup:
@@ -163,8 +163,8 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
     Classes are discovered by breadth-first searches started from the least
     unassigned element, so the result is independent of basis order.
     """
-    sig = ring.signature
-    sup = sorted(ring.support())
+    sup = ring.sorted_support()
+    inverse = ring.degree_table().inverse
     assigned: set[Element] = set()
     blocks = []
     reps = []
@@ -177,12 +177,10 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
         for h in sup:
             if h in parent:
                 reached = h
+            elif inverse[h] in parent:
+                reached = inverse[h]
             else:
-                inv = sig.invert(h)
-                if inv in parent:
-                    reached = inv
-                else:
-                    continue
+                continue
             members.append(h)
             certificates[h] = ConnectionPath(trail(reached), g, h)
         overlap = assigned.intersection(members)
@@ -201,9 +199,8 @@ def is_symmetric_support(ring: GradedRing):
     """(True, None) when the support is closed under inversion, else
     (False, witness) with the least support element whose inverse is
     missing."""
-    sig = ring.signature
-    sup = ring.support()
-    for g in sorted(sup):
-        if sig.invert(g) not in sup:
+    table = ring.degree_table()
+    for g, inv in table.inverse.items():
+        if inv not in table.support:
             return False, g
     return True, None

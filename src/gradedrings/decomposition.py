@@ -2,8 +2,9 @@
 
 For a connection class C of the support, three subspaces are built:
 
-* the identity span: the span of all products between components of degree
-  h and h^-1 with h in C (it lives inside the identity component),
+* the identity span: the sum of the spans P_h = E_h E_{h^-1} of all products
+  between components of degree h and h^-1, h in C (it lives inside the
+  identity component),
 * the component sum: the direct sum of the homogeneous components whose
   degree lies in C,
 * the class ideal: the sum of the previous two.  It is verified to be a
@@ -20,8 +21,10 @@ even pairwise orthogonal with respect to every Gram.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from types import MappingProxyType
 
 from .connections import ConnectionClasses, connection_classes
 from .errors import PreconditionError, TheoremViolationError
@@ -36,17 +39,21 @@ from .linalg import (
 from .ring import GradedRing, derived
 
 
+@derived
+def inverse_products(ring: GradedRing) -> Mapping[Element, Subspace]:
+    """g -> P_g = E_g E_{g^-1} for g in the support, ascending."""
+    spans = {}
+    for g, inv in ring.degree_table().inverse.items():
+        spans[g] = ring.product_span(ring.component(g), ring.component(inv))
+    return MappingProxyType(spans)
+
+
 def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
-    """Span of the basis products e_i e_j with deg e_i = h, deg e_j = h^-1
-    for h in ``degrees``."""
-    sig = ring.signature
+    """Sum of the spans P_h for h in ``degrees``."""
+    spans = inverse_products(ring)
     eb = EchelonBasis(ring.dim)
     for h in degrees:
-        for i in ring.indices_of_degree(h):
-            for j in ring.indices_of_degree(sig.invert(h)):
-                entries = ring.basis_product(i, j)
-                if entries:
-                    eb.add(dict(entries))
+        eb.extend(spans[h].sparse.values())
     return eb.to_subspace()
 
 
@@ -104,6 +111,8 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
+    if sub.dim == ring.dim:
+        return True  # the whole ring
     rows = sub.sparse.values()
     for row in rows:
         for j in ring.right_reach(row):

@@ -137,7 +137,7 @@ def group_algebra(sig: GroupSignature) -> GradedRing:
     structure = {}
     for i, g in enumerate(elements):
         for j, h in enumerate(elements):
-            structure[(i, j)] = [(index[sig.compose(g, h)], ONE)]
+            structure[(i, j)] = [(index[sig.compose_canonical(g, h)], ONE)]
     dim = len(elements)
     grams = [[{i: ONE} for i in range(dim)]]
     labels = ["g(" + ",".join(str(e) for e in g) + ")" for g in elements]

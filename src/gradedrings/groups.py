@@ -6,6 +6,12 @@ generator followed by one per torsion modulus.  Torsion coordinates are kept
 reduced into [0, m), so equal elements always have identical tuples and can
 be used directly as dictionary keys.
 
+:meth:`~GroupSignature.element` checks and canonicalizes, and ``compose``
+and ``invert`` run it on their arguments.  A ring keeps its degrees as given;
+``validate`` reports the ones that are not canonical, its degree table checks
+each attained degree once, and past that table the library assumes canonical
+degrees and uses the unchecked ``compose_canonical`` and ``invert_canonical``.
+
 >>> sig = GroupSignature(free_rank=1, torsion=(3,))
 >>> sig.compose((2, 2), (1, 2))
 (3, 1)
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, neg
 
 from .errors import MalformedInputError, PreconditionError
 
@@ -67,27 +74,27 @@ class GroupSignature:
         tors = tuple(e % m for e, m in zip(exps[self.free_rank :], self.torsion))
         return free + tors
 
-    def conforms(self, a) -> bool:
-        try:
-            return self.element(a) == tuple(a)
-        except MalformedInputError:
-            return False
-
     def identity(self) -> Element:
         return (0,) * self.length
 
-    def compose(self, a: Element, b: Element) -> Element:
-        """Coordinatewise product (sum of exponents); commutative."""
-        a = self.element(a)
-        b = self.element(b)
+    def compose_canonical(self, a: Element, b: Element) -> Element:
+        """The group law (sum of exponents), unchecked: ``zip`` would silently
+        truncate an element of the wrong length, so a and b must be canonical."""
         r = self.free_rank
-        free = tuple(x + y for x, y in zip(a[:r], b[:r]))
+        free = tuple(map(add, a[:r], b[:r]))
         return free + tuple((x + y) % m for x, y, m in zip(a[r:], b[r:], self.torsion))
 
-    def invert(self, a: Element) -> Element:
-        a = self.element(a)
+    def invert_canonical(self, a: Element) -> Element:
+        """Inverse of a canonical element, unchecked."""
         r = self.free_rank
-        return tuple(-x for x in a[:r]) + tuple(-x % m for x, m in zip(a[r:], self.torsion))
+        return tuple(map(neg, a[:r])) + tuple(-x % m for x, m in zip(a[r:], self.torsion))
+
+    def compose(self, a, b) -> Element:
+        """Product of two exponent vectors, checked; commutative."""
+        return self.compose_canonical(self.element(a), self.element(b))
+
+    def invert(self, a) -> Element:
+        return self.invert_canonical(self.element(a))
 
     def is_finite(self) -> bool:
         return self.free_rank == 0

@@ -20,6 +20,7 @@ constructed and then *reported* on; it never decides mathematics itself.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -70,6 +71,19 @@ class ViolationReport:
         self.violations.append(Violation(kind, tuple(where), detail))
 
 
+@dataclass(frozen=True)
+class DegreeTable:
+    """The attained degrees, each checked once against the signature.
+
+    ``inverse`` maps each canonical non-identity degree, ascending, to its
+    inverse and ``support`` holds the same degrees; ``malformed`` lists the
+    basis indices whose degree is not canonical."""
+
+    support: frozenset[Element]
+    inverse: Mapping[Element, Element]
+    malformed: tuple[int, ...]
+
+
 def derived(fn):
     """Compute ``fn(ring)`` once per ring and keep it; the value must be immutable."""
 
@@ -87,6 +101,9 @@ class GradedRing:
 
     ``structure`` is read-only.  Quantities derived from the ring alone are
     computed once, on first use, and kept on the ring (see :func:`derived`).
+    Degrees are kept as given; the :class:`DegreeTable` checks each attained
+    degree once, ``validate`` reports the ones it rejects and the analyses
+    raise on them, and past the table the analyses assume canonical degrees.
 
     Parameters
     ----------
@@ -153,13 +170,40 @@ class GradedRing:
     def indices_of_degree(self, g: Element) -> tuple[int, ...]:
         return self._by_degree.get(tuple(g), ())
 
+    @derived
+    def _degree_table(self) -> DegreeTable:
+        sig = self.signature
+        # keyed with the coordinate types as well: 1.0 == 1, but only 1 is canonical
+        canonical: dict[tuple, bool] = {}
+        malformed = []
+        for i, d in enumerate(self.degrees):
+            key = (d, tuple(map(type, d)))
+            if key not in canonical:
+                try:
+                    canonical[key] = sig.element(d) == d
+                except MalformedInputError:
+                    canonical[key] = False
+            if not canonical[key]:
+                malformed.append(i)
+        one = sig.identity()
+        good = {d for (d, _), ok in canonical.items() if ok and d != one}
+        inverse = {g: sig.invert_canonical(g) for g in sorted(good)}
+        return DegreeTable(frozenset(inverse), MappingProxyType(inverse), tuple(malformed))
+
+    def degree_table(self) -> DegreeTable:
+        """The degree table, or MalformedInputError on a degree not canonical."""
+        table = self._degree_table()
+        if table.malformed:
+            i = table.malformed[0]
+            raise MalformedInputError(f"degree {self.degrees[i]} of basis {i} is not canonical")
+        return table
+
     def support(self) -> frozenset[Element]:
         """Non-identity degrees attained by basis elements."""
-        one = self.identity_degree()
-        return frozenset(d for d in self._by_degree if d != one)
+        return self.degree_table().support
 
     def sorted_support(self) -> list[Element]:
-        return sorted(self.support())
+        return list(self.degree_table().inverse)
 
     def component(self, g: Element) -> Subspace:
         """Homogeneous component of degree g (zero subspace if unattained)."""
@@ -235,12 +279,11 @@ class GradedRing:
 
     def _check_malformed(self, report: ViolationReport) -> None:
         n = self.dim
-        sig = self.signature
         if len(self.labels) != n:
             report.add("malformed", (), f"{len(self.labels)} labels for {n} basis elements")
-        for i, d in enumerate(self.degrees):
-            if not sig.conforms(d):
-                report.add("malformed", (i,), f"degree {d} does not conform to the signature")
+        for i in self._degree_table().malformed:
+            d = self.degrees[i]
+            report.add("malformed", (i,), f"degree {d} does not conform to the signature")
         for (i, j), entries in self.structure.items():
             if not (0 <= i < n and 0 <= j < n):
                 report.add("malformed", (i, j), "structure key out of range")
@@ -257,9 +300,9 @@ class GradedRing:
                 report.add("malformed", (a,), f"Gram {a} is not Hermitian")
 
     def _check_grading(self, report: ViolationReport) -> None:
-        sig = self.signature
+        law = self.signature.compose_canonical
         for (i, j), entries in sorted(self.structure.items()):
-            expected = sig.compose(self.degrees[i], self.degrees[j])
+            expected = law(self.degrees[i], self.degrees[j])
             for k, c in entries:
                 if self.degrees[k] != expected:
                     report.add(

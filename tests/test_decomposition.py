@@ -331,15 +331,21 @@ GRADED_IDEAL_RINGS = (
 
 
 @pytest.mark.parametrize("index", range(len(GRADED_IDEAL_RINGS)))
-def test_is_graded_ideal_matches_the_dense_loop(index):
+def test_is_graded_ideal_matches_the_dense_loop(index, monkeypatch):
     ring = GRADED_IDEAL_RINGS[index]
+    whole = full_space(ring.dim)
     verdicts = []
-    for sub in graded_ideal_candidates(ring, random.Random(index)):
+    for sub in graded_ideal_candidates(ring, random.Random(index)) + [whole]:
         verdict = is_graded_ideal(ring, sub)
         assert verdict == dense_is_graded_ideal(ring, sub)
         verdicts.append(verdict)
     if ring.support():
-        assert True in verdicts and False in verdicts
+        assert True in verdicts[:-1] and False in verdicts
+    # the whole ring is a graded ideal without a single product
+    products = []
+    for name in ("multiply_basis_left", "multiply_basis_right"):
+        monkeypatch.setattr(GradedRing, name, lambda *args: products.append(args))
+    assert is_graded_ideal(ring, whole) and products == []
 
 
 def planted_decompose_cases():
@@ -506,6 +512,26 @@ def test_planted_cases_reach_every_outcome():
     assert any(m.endswith("failed the graded-ideal check") for m in messages)
     assert (True, True, False, False, True) in outcomes  # not orthogonal, not coherent
     assert len(RECORDED_DECOMPOSE_OUTCOMES) == len(PLANTED_DECOMPOSE_CASES)
+
+
+def test_decompose_checks_each_degree_once(monkeypatch):
+    """Counts, not seconds: on banded (5, 3) the connection search composed
+    degrees through the checking GroupSignature.compose, 3,600 compose and
+    7,560 element calls.  The degree table checks each attained degree once
+    and the search uses the unchecked law."""
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    counts = {"element": 0, "compose": 0}
+    for name in counts:
+        fn = getattr(GroupSignature, name)
+
+        def counted(self, *args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(self, *args)
+
+        monkeypatch.setattr(GroupSignature, name, counted)
+    assert decompose(ring).covers
+    assert 0 < counts["element"] <= len(ring.attained_degrees()) == 61
+    assert counts["compose"] == 0
 
 
 def test_decompose_work_is_sized_to_its_answer(monkeypatch):

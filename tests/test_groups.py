@@ -61,6 +61,9 @@ def test_compose_and_invert_match_the_canonicalizing_formula(free_rank, torsion)
         ca, cb = sig.element(a), sig.element(b)
         assert sig.compose(a, b) == sig.element(tuple(x + y for x, y in zip(ca, cb)))
         assert sig.invert(a) == sig.element(tuple(-x for x in ca))
+        # the unchecked law on canonical elements is the checked one
+        assert sig.compose_canonical(ca, cb) == sig.compose(a, b)
+        assert sig.invert_canonical(ca) == sig.invert(a)
 
 
 @pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0)])

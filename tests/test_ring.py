@@ -13,6 +13,7 @@ from gradedrings import (
     annihilator,
     banded_ring,
     connection_classes,
+    decompose,
     group_algebra,
     identity_products_span,
     is_support_multiplicative,
@@ -23,6 +24,7 @@ from gradedrings import (
     vector,
 )
 from gradedrings.connections import _symmetrized
+from gradedrings.decomposition import inverse_products
 from gradedrings.linalg import ONE, ZERO, Gram, add_scaled
 from gradedrings.ring import ViolationReport, derived
 
@@ -198,6 +200,42 @@ def test_validate_reports_malformed_records():
 
     non_hermitian = GradedRing(sig, [(0,), (0,)], {}, [[[ONE, ONE], [ZERO, ONE]]])
     assert non_hermitian.validate().kinds() == ["malformed"]
+
+
+MALFORMED_DEGREES = [
+    [(0, 0)],
+    [(0,), (1, 5)],
+    [(0,), (1.5,)],
+    [(0,), ("1",)],
+    [(0,), (1,), (1.0,)],  # equal to a canonical degree, but not an integer
+]
+
+
+@pytest.mark.parametrize("degrees", MALFORMED_DEGREES, ids=repr)
+@pytest.mark.parametrize(
+    "analysis", [is_support_multiplicative, connection_classes, is_symmetric_support, decompose]
+)
+def test_malformed_degrees_end_in_malformed_input_error(degrees, analysis):
+    ring = GradedRing(GroupSignature(1), degrees, {}, [identity_gram(len(degrees))])
+    with pytest.raises(MalformedInputError):
+        analysis(ring)
+    # validate reports the same degree instead of raising
+    bad = len(degrees) - 1
+    assert [(v.kind, v.where) for v in ring.validate()] == [("malformed", (bad,))]
+
+
+def test_degree_outside_its_torsion_range_is_malformed():
+    # 4 and 1 are the same element of Z/3, but only 1 is canonical
+    sig = GroupSignature(0, (3,))
+    ring = GradedRing(sig, [(0,), (4,), (2,), (4,)], {}, [identity_gram(4)])
+    report = ring.validate()
+    assert [v.where for v in report] == [(1,), (3,)]
+    assert report.violations[0].detail == "degree (4,) does not conform to the signature"
+    with pytest.raises(MalformedInputError, match=r"degree \(4,\) of basis 1"):
+        connection_classes(ring)
+    canonical = GradedRing(sig, [(0,), (1,), (2,), (1,)], {}, [identity_gram(4)])
+    assert canonical.validate().ok
+    assert canonical.degree_table().inverse == {(1,): (2,), (2,): (1,)}
 
 
 def test_zero_product_ring_validates():
@@ -469,6 +507,8 @@ def test_connection_classes_are_read_only(band3x2):
         annihilator,
         is_support_multiplicative,
         identity_products_span,
+        GradedRing._degree_table,
+        inverse_products,
     ],
 )
 def test_derived_quantity_is_kept_on_the_ring(fn):

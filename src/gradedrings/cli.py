@@ -40,7 +40,10 @@ from .properties import properties_report
 from .specfile import dumps_ring, load_ring
 
 
-def _env_int(name: str, default: int) -> int:
+def _env_int(given: int | None, name: str, default: int) -> int:
+    """``given``; when it is None, environment variable ``name``, else ``default``."""
+    if given is not None:
+        return given
     raw = os.environ.get(name)
     if raw is None:
         return default
@@ -121,22 +124,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _emit(args, report: dict) -> None:
-    text = rpt.dumps_report(report) if args.report == "json" else rpt.render_text(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(path, text: str) -> None:
+    """Write a report or a ring spec to ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_ring(ring, output, metadata) -> None:
-    payload = dumps_ring(ring, metadata)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
 
 
 def _analyze(args) -> int:
@@ -167,12 +161,8 @@ def _analyze(args) -> int:
                 and (dec.orthogonal_ideals or not dec.coherent)
             )
         else:  # properties, simple
-            samples = args.oracle_samples
-            if samples is None:
-                samples = _env_int("GRADED_SAMPLES", 8)
-            seed = args.seed
-            if seed is None:
-                seed = _env_int("GRADED_SEED", 0)
+            samples = _env_int(args.oracle_samples, "GRADED_SAMPLES", 8)
+            seed = _env_int(args.seed, "GRADED_SEED", 0)
             props = properties_report(ring, oracle_samples=samples, oracle_seed=seed)
             report["properties"] = rpt.properties_section(props)
             conclusive = (
@@ -182,7 +172,8 @@ def _analyze(args) -> int:
 
     if args.timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
-    _emit(args, report)
+    text = rpt.dumps_report(report) if args.report == "json" else rpt.render_text(report)
+    _write(args.out, text)
     return 1 if failed else 0
 
 
@@ -213,9 +204,7 @@ def _generate(args) -> int:
         ring = direct_sum(load_ring(args.file_a), load_ring(args.file_b), args.embedding)
         meta = {"generator": "sum", "embedding": args.embedding}
     else:  # random
-        seed = args.seed
-        if seed is None:
-            seed = _env_int("GRADED_SEED", 0)
+        seed = _env_int(args.seed, "GRADED_SEED", 0)
         ring = random_ring(seed, RandomRingParams(max_dim=args.max_dim))
         meta = {"generator": "random", "seed": seed, "max_dim": args.max_dim}
     validation = ring.validate()
@@ -223,7 +212,7 @@ def _generate(args) -> int:
         raise TheoremViolationError(
             "generator produced an invalid ring: " + "; ".join(v.detail for v in validation)
         )
-    _write_ring(ring, args.output, meta)
+    _write(args.output, dumps_ring(ring, meta))
     return 0
 
 
@@ -233,10 +222,7 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _generate(args)
         return _analyze(args)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
+    except (SpecFileError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TheoremViolationError as exc:

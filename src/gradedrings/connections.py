@@ -11,13 +11,17 @@ The search is a breadth-first walk whose states are the prefix products
 (all of which live in the symmetrized support, so there are at most twice
 as many states as support elements) and whose edges multiply by one
 symmetrized-support element.  The final step is exempt from the prefix
-constraint and only has to land in {h, h^-1}.  Candidate steps are tried in
-ascending lexicographic order of exponent vectors so the certificate found
-is deterministic.
+constraint and only has to land in {h, h^-1}, also in the symmetrized
+support; so the search walks only the steps g x with g, x and g x in it,
+which ``_symmetrized`` composes once per ring for the search and for
+:func:`~gradedrings.properties.is_support_multiplicative`.  Steps are tried
+in ascending lexicographic order of exponent vectors so the certificate
+found is deterministic.
 
 Certificates store the sequence g_1, ..., g_n itself, not the prefix
 products, and :func:`verify_certificate` rechecks the definition from
-scratch, independently of how the search produced the path.
+scratch with the checked ``GroupSignature.compose``, independently of the
+steps the search walked.
 """
 
 from __future__ import annotations
@@ -64,10 +68,14 @@ class ConnectionClasses:
 
 @derived
 def _symmetrized(ring: GradedRing):
-    """The support with its inverses, as sorted tuple and as set."""
+    """The support with its inverses as a set, and per element g its steps:
+    the pairs (x, g x) with x and g x in the set, x ascending."""
     table = ring.degree_table()
+    law = ring.signature.compose_canonical
     closure = table.support.union(table.inverse.values())
-    return tuple(sorted(closure)), closure
+    ordered = sorted(closure)
+    steps = {g: tuple((x, gx) for x in ordered if (gx := law(g, x)) in closure) for g in ordered}
+    return closure, MappingProxyType(steps)
 
 
 def _bfs(ring: GradedRing, start: Element, targets=None):
@@ -77,8 +85,7 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
     lands in ``targets`` and return the element trail; otherwise exhaust the
     reachable states and return the parent map.
     """
-    law = ring.signature.compose_canonical
-    steps, closure = _symmetrized(ring)
+    _, steps = _symmetrized(ring)
     parent: dict[Element, tuple[Element, Element] | None] = {start: None}
 
     def trail(state):
@@ -98,11 +105,10 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
     queue = deque([start])
     while queue:
         state = queue.popleft()
-        for x in steps:
-            nxt = law(state, x)
+        for x, nxt in steps[state]:
             if targets is not None and nxt in targets:
                 return trail(state) + (x,)
-            if nxt in closure and nxt not in parent:
+            if nxt not in parent:
                 parent[nxt] = (state, x)
                 queue.append(nxt)
     return None if targets is not None else (parent, trail)
@@ -135,7 +141,7 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
     try:
         sig = ring.signature
         sup = ring.support()
-        _, closure = _symmetrized(ring)
+        closure, _ = _symmetrized(ring)
         source = sig.element(path.source)
         target = sig.element(path.target)
         if source not in sup or target not in sup:

@@ -104,10 +104,8 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     """True iff the subspace absorbs products on both sides and splits as a
     sum of its intersections with the homogeneous components.
 
-    A basis row u is multiplied only by the e_j that can give a nonzero
-    product: u e_j is the sum of u_i e_i e_j over i in supp u, so it is zero
-    unless (i, j) is a structure key for some such i, and e_j u is zero
-    unless (j, m) is one for some m in supp u.
+    A basis row is multiplied only by the e_j that can give a nonzero
+    product (see :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
@@ -115,14 +113,8 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
         return True  # the whole ring
     rows = sub.sparse.values()
     for row in rows:
-        for j in ring.right_reach(row):
-            w = ring.multiply_basis_right(row, j)
-            if w and not sub.contains(w):
-                return False
-        for j in ring.left_reach(row):
-            w = ring.multiply_basis_left(j, row)
-            if w and not sub.contains(w):
-                return False
+        if not all(sub.contains(w) for w in ring.basis_multiples(row)):
+            return False
     # graded: every homogeneous piece of every basis row stays inside;
     # equivalently the subspace is the sum of its homogeneous parts.
     for row in rows:

@@ -219,20 +219,15 @@ def _signature_embedding(sig_a: GroupSignature, sig_b: GroupSignature, common, f
     slot = {}
     for pos, (_, side, i) in enumerate(merged):
         slot[(side, i)] = pos
+    # this summand's free block starts at ``start``; ``own`` tags its moduli in ``merged``
+    start, free, own = (0, fa, 0) if first else (fa, fb, 1)
 
     def embed(d):
         d = tuple(d)
         out = [0] * common.length
-        if first:
-            for i in range(fa):
-                out[i] = d[i]
-            for i, e in enumerate(d[fa:]):
-                out[fa + fb + slot[(0, i)]] = e
-        else:
-            for i in range(fb):
-                out[fa + i] = d[i]
-            for i, e in enumerate(d[fb:]):
-                out[fa + fb + slot[(1, i)]] = e
+        out[start : start + free] = d[:free]
+        for i, e in enumerate(d[free:]):
+            out[fa + fb + slot[(own, i)]] = e
         return tuple(out)
 
     return embed

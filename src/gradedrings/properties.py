@@ -33,7 +33,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connections import connection_classes, is_symmetric_support
+from .connections import _symmetrized, connection_classes, is_symmetric_support
 from .decomposition import identity_products_span, inverse_products, is_graded_ideal
 from .errors import PreconditionError
 from .groups import Element
@@ -67,17 +67,17 @@ def is_support_multiplicative(ring: GradedRing):
 
     Returns (True, None) or (False, (g, h)) with the first failing pair in
     ascending lexicographic degree order.  E_g E_h is nonzero exactly when
-    some structure key (i, j) has deg e_i = g and deg e_j = h.
+    some structure key (i, j) has deg e_i = g and deg e_j = h.  The h to
+    try are the identity and the h of the support steps (h, g h) of g.
     """
-    table = ring.degree_table()
-    sup = table.support
-    law = ring.signature.compose_canonical
+    _, steps = _symmetrized(ring)
+    sup = ring.support()
     n, degrees = ring.dim, ring.degrees
     nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
-    partners = sorted(sup | {ring.identity_degree()})
+    one = ring.identity_degree()
     for g in ring.sorted_support():
-        for h in partners:
-            if law(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
+        for h in sorted([one] + [h for h, gh in steps[g] if h in sup and gh in sup]):
+            if (g, h) not in nonzero and (h, g) not in nonzero:
                 return False, (g, h)
     return True, None
 
@@ -203,17 +203,13 @@ def ideal_closure(
         if basis.add(piece):
             queue.append(piece)
     while queue and basis.dim < n:
-        u = queue.pop()
-        for j in range(n):
-            for w in (ring.multiply_basis_right(u, j), ring.multiply_basis_left(j, u)):
-                if not w:
-                    continue
-                if generates(w):
-                    return full_space(n)
-                if basis.add(w):
-                    if basis.dim == n:
-                        return basis.to_subspace()
-                    queue.append(w)
+        for w in ring.basis_multiples(queue.pop()):
+            if generates(w):
+                return full_space(n)
+            if basis.add(w):
+                if basis.dim == n:
+                    return basis.to_subspace()
+                queue.append(w)
     return basis.to_subspace()
 
 
@@ -265,13 +261,12 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
     n = ring.dim
     if n == 0 or not ring.structure:
         return OracleResult(False, None, 0, "the product is identically zero")
-    full = n
     tested = 0
     generators: set[int] = set()
     for i in range(n):
         closure = ideal_closure(ring, {i: ONE}, generators=generators)
         tested += 1
-        if closure.dim != full:
+        if closure.dim != n:
             return OracleResult(
                 False,
                 unit_vector(n, i),
@@ -289,7 +284,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
                     v[i] = Scalar(Fraction(rng.randint(-9, 9)))
             closure = ideal_closure(ring, v, generators=generators)
             tested += 1
-            if closure.dim != full:
+            if closure.dim != n:
                 return OracleResult(
                     False, v, tested, "closure of a sampled identity-component vector is proper"
                 )

@@ -112,7 +112,7 @@ class GradedRing:
     degrees : sequence of exponent tuples, one per basis element.
     structure : mapping (i, j) -> iterable of (k, scalar) pairs
         Sparse structure constants: e_i e_j = sum_k c_k e_k.  Zero products
-        may simply be omitted.
+        may simply be omitted; repeated (i, j, k) terms are summed.
     grams : sequence of Gram matrices (at least one).
         Each is a :class:`~gradedrings.linalg.Gram`, dense rows of scalars
         or sparse ``{j: scalar}`` rows, and is kept as a ``Gram`` built once
@@ -130,14 +130,20 @@ class GradedRing:
         if labels is None:
             labels = tuple(f"e{i}" for i in range(n))
         self.labels = tuple(str(s) for s in labels)
-        cleaned = {}
+        # repeated (i, j, k) terms are summed and terms that cancel dropped,
+        # so a key is kept exactly when its product is nonzero
+        terms: dict[tuple[int, int], dict] = {}
         for (i, j), entries in structure.items():
-            row = tuple(
-                (k, as_scalar(c)) for k, c in sorted(entries, key=lambda e: e[0]) if as_scalar(c)
-            )
-            if row:
-                cleaned[(int(i), int(j))] = row
-        self.structure = MappingProxyType(cleaned)
+            row = terms.setdefault((int(i), int(j)), {})
+            for k, c in entries:
+                c = as_scalar(c)
+                if k in row:
+                    c += row.pop(k)
+                if c:
+                    row[k] = c
+        self.structure = MappingProxyType(
+            {key: tuple(sorted(row.items())) for key, row in terms.items() if row}
+        )
         self.grams = tuple(as_gram(gram) for gram in grams)
         # index maps used all over the analyses
         self._by_degree: dict[Element, tuple[int, ...]] = {}
@@ -260,10 +266,19 @@ class GradedRing:
         only e_j with u e_j possibly nonzero for u supported in ``indices``."""
         return {j for i in indices for j in self._left_keys.get(i, ())}
 
-    def left_reach(self, indices) -> set[int]:
-        """The i with (i, m) a structure key for some m in ``indices``: the
-        only e_i with e_i u possibly nonzero for u supported in ``indices``."""
-        return {i for m in indices for i in self._right_keys.get(m, ())}
+    def basis_multiples(self, u):
+        """The nonzero u e_j and e_j u, j ascending, u e_j first.  u e_j is
+        the sum of u_i e_i e_j over i in supp u, so only the e_j of the
+        right reach are tried, and e_j u only when some (j, m) with m in
+        supp u is a structure key."""
+        su = as_sparse(u, self.dim)
+        right = self.right_reach(su)
+        left = {i for m in su for i in self._right_keys.get(m, ())}
+        for j in sorted(right | left):
+            if j in right and (w := self.multiply_basis_right(u, j)):
+                yield w
+            if j in left and (w := self.multiply_basis_left(j, u)):
+                yield w
 
     def product_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all products of one subspace with another."""

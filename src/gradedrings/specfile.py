@@ -12,7 +12,9 @@ Schema (format_version 1):
       "metadata": {...}                      free-form, optional
     }
 
-Scalar strings are "p", "p/q", "a+b*i" or "a-b*i" with reduced fractions.
+Repeated (i, j, k) structure entries are summed, and entries that cancel
+leave no product behind.  Scalar strings are "p", "p/q", "a+b*i" or
+"a-b*i" with reduced fractions.
 A Gram is either a dense matrix (list of rows of scalar strings) or
 {"sparse": [{"i": int, "j": int, "scalar": str}, ...]} with omitted entries
 zero.  Indices are 0-based.  Serialization is deterministic: structure

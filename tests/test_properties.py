@@ -85,6 +85,112 @@ def test_zeroed_product_breaks_multiplicativity():
     assert failure == ((-1, 1, 0), (0, -1, 1))
 
 
+def test_cancelling_structure_terms_break_multiplicativity():
+    # e0 e1 = e1 - e1 = 0, so E_0 E_(1) and E_(1) E_0 both vanish
+    sig = GroupSignature(1)
+    ring = GradedRing(
+        sig,
+        [(0,), (1,), (-1,)],
+        {(0, 1): [(1, 1), (1, -1)], (0, 2): [(2, 1)]},
+        [identity_gram(3)],
+    )
+    assert is_support_multiplicative(ring) == (False, ((1,), (0,)))
+
+
+def test_product_that_cancels_is_identically_zero():
+    sig = GroupSignature(0, ())
+    ring = GradedRing(sig, [(), ()], {(0, 1): [(1, "2"), (1, "-2")]}, [identity_gram(2)])
+    assert not theorem_hypotheses(ring)["nonzero_product"]
+    oracle = graded_simple_oracle(ring)
+    assert oracle.verdict is False
+    assert oracle.reason == "the product is identically zero"
+
+
+def reference_support_multiplicative(ring):
+    """Every support g against every support-or-identity h, composed with
+    the checked group law: the loop the support steps must reproduce."""
+    sig = ring.signature
+    sup = ring.support()
+    n, degrees = ring.dim, ring.degrees
+    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
+    for g in sorted(sup):
+        for h in sorted(sup | {sig.identity()}):
+            if sig.compose(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
+                return False, (g, h)
+    return True, None
+
+
+def zeroed_product_ring(index):
+    """banded (3, 1), 27 structure keys, with the index-th key deleted."""
+    base = banded_ring(BandedRingParams(3, 1))
+    key = sorted(base.structure)[index]
+    structure = {k: list(v) for k, v in base.structure.items() if k != key}
+    return GradedRing(base.signature, base.degrees, structure, base.grams, base.labels)
+
+
+MULTIPLICATIVITY_CASES = (
+    [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
+     for n in range(1, 5) for r in range(1, 4)]
+    + [(f"group-{'x'.join(map(str, t))}", lambda t=t: group_algebra(GroupSignature(0, t)))
+       for t in [(2,), (3,), (5,), (2, 2), (2, 3), (3, 3)]]
+    + [(f"random-{seed}", lambda seed=seed: random_ring(seed, RandomRingParams(max_dim=24)))
+       for seed in range(40)]
+    + [("lonely-unit", lambda: GradedRing(GroupSignature(2), [(-1, 1)], {}, [identity_gram(1)])),
+       ("lonely-unit-with-one", lambda: GradedRing(
+           GroupSignature(2), [(0, 0), (-1, 1)], {(0, 1): [(1, 1)]}, [identity_gram(2)]))]
+    + [(f"zeroed-{idx}", lambda idx=idx: zeroed_product_ring(idx)) for idx in range(27)]
+    # degrees 0, 1, 2 of Z: with no product, (1, 0) fails before (1, 1);
+    # with a b = b, a c = c and b b = c, only the support partners of 2 count
+    + [("line-no-products", lambda: GradedRing(
+        GroupSignature(1), [(0,), (1,), (2,)], {}, [identity_gram(3)])),
+       ("line-asymmetric", lambda: GradedRing(
+           GroupSignature(1), [(0,), (1,), (2,)],
+           {(0, 1): [(1, 1)], (0, 2): [(2, 1)], (1, 1): [(2, 1)]}, [identity_gram(3)]))]
+)
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in MULTIPLICATIVITY_CASES], ids=[i for i, _ in MULTIPLICATIVITY_CASES]
+)
+def test_support_multiplicative_matches_reference(make):
+    ring = make()
+    assert is_support_multiplicative(ring) == reference_support_multiplicative(ring)
+
+
+def test_zeroed_product_cases_include_failures():
+    outcomes = [reference_support_multiplicative(zeroed_product_ring(idx)) for idx in range(27)]
+    assert any(ok for ok, _ in outcomes) and not all(ok for ok, _ in outcomes)
+
+
+def test_properties_work_is_sized_to_its_answer(monkeypatch):
+    """Counts, not seconds: on banded (5, 3) with two Grams the connection
+    search and the multiplicativity check each composed the 60-element
+    symmetrized support with itself (7,260 compositions), and the oracle's
+    closures multiplied every queued vector by every basis element on both
+    sides (3,750 products).  The support steps are composed once per ring,
+    once per ordered pair, and the closures multiply only by the basis
+    elements that can give a nonzero product."""
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    counts = {"compose": 0, "products": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        GroupSignature, "compose_canonical", counted(GroupSignature.compose_canonical, "compose")
+    )
+    for name in ("multiply_basis_left", "multiply_basis_right"):
+        monkeypatch.setattr(GradedRing, name, counted(getattr(GradedRing, name), "products"))
+    report = properties_report(ring)
+    assert report.simple_by_theorem is False and report.simple_by_oracle is False
+    assert 0 < counts["compose"] <= 60 * 60
+    assert 0 < counts["products"] <= 3750 // 10
+
+
 # -- annihilator ------------------------------------------------------------------
 
 def test_banded_annihilator_is_zero(band3x2):

@@ -474,6 +474,49 @@ def test_ring_pickles_and_deep_copies_without_its_memo():
             assert connection_classes(twin).blocks == connection_classes(ring).blocks
 
 
+def test_repeated_structure_terms_are_summed():
+    sig = GroupSignature(0, ())
+    ring = GradedRing(
+        sig,
+        [(), ()],
+        {(0, 0): [(1, "1/2"), (0, "0"), (1, "1/2")], (0, 1): [(1, "1"), (1, "-1")]},
+        [identity_gram(2)],
+    )
+    # e0 e0 = e1 once; e0 e1 cancels and leaves no key behind
+    assert dict(ring.structure) == {(0, 0): ((1, ONE),)}
+    assert ring == GradedRing(sig, [(), ()], {(0, 0): [(1, ONE)]}, [identity_gram(2)])
+
+
+BASIS_MULTIPLE_RINGS = (
+    [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
+     for n, r in [(2, 1), (3, 2)]]
+    + [("group-2x3", lambda: group_algebra(GroupSignature(0, (2, 3))))]
+    + [(f"random-{seed}", lambda seed=seed: random_ring(seed)) for seed in range(6)]
+)
+
+
+@pytest.mark.parametrize(
+    "make", [m for _, m in BASIS_MULTIPLE_RINGS], ids=[i for i, _ in BASIS_MULTIPLE_RINGS]
+)
+def test_basis_multiples_are_the_nonzero_basis_products(make):
+    """The reach-filtered products are exactly the nonzero ones of the loop
+    over every e_j, in the same order."""
+    ring = make()
+    n = ring.dim
+    rng = random.Random(n)
+    vectors = [{i: ONE} for i in range(n)]
+    for _ in range(4):
+        vectors.append({i: Scalar(rng.randint(1, 5)) for i in rng.sample(range(n), min(n, 3))})
+    for u in vectors:
+        everything = [
+            w
+            for j in range(n)
+            for w in (ring.multiply_basis_right(u, j), ring.multiply_basis_left(j, u))
+            if w
+        ]
+        assert list(ring.basis_multiples(u)) == everything
+
+
 def test_vector_length_mismatch():
     ring = trivially_graded_zero_ring(2)
     with pytest.raises(MalformedInputError):

@@ -34,6 +34,22 @@ def test_round_trip(ring):
     assert ring_from_dict(ring_to_dict(ring)) == ring
 
 
+def test_repeated_structure_entries_are_summed():
+    data = ring_to_dict(banded_ring(BandedRingParams(2, 1)))
+    plain = ring_from_dict(data)
+    cancelling = json.loads(json.dumps(data))
+    cancelling["structure"] += [
+        {"i": 0, "j": 1, "k": 1, "scalar": "1"},
+        {"i": 0, "j": 1, "k": 1, "scalar": "-1"},
+    ]
+    assert ring_from_dict(cancelling) == plain
+    halves = json.loads(json.dumps(data))
+    entry = halves["structure"][0]
+    entry["scalar"] = "1/2"
+    halves["structure"].append(dict(entry))
+    assert ring_from_dict(halves) == plain
+
+
 def test_round_trip_through_files(tmp_path):
     ring = banded_ring(BandedRingParams(2, 2))
     path = tmp_path / "ring.json"

@@ -69,13 +69,24 @@ class ConnectionClasses:
 @derived
 def _symmetrized(ring: GradedRing):
     """The support with its inverses as a set, and per element g its steps:
-    the pairs (x, g x) with x and g x in the set, x ascending."""
+    the pairs (x, g x) with x and g x in the set, x ascending.
+
+    The group is abelian, so each unordered pair {g, x} with g <= x is
+    composed once and its step filed under both; taking g in ascending order
+    keeps each element's steps ascending."""
     table = ring.degree_table()
     law = ring.signature.compose_canonical
     closure = table.support.union(table.inverse.values())
     ordered = sorted(closure)
-    steps = {g: tuple((x, gx) for x in ordered if (gx := law(g, x)) in closure) for g in ordered}
-    return closure, MappingProxyType(steps)
+    steps = {g: [] for g in ordered}
+    for i, g in enumerate(ordered):
+        for x in ordered[i:]:
+            gx = law(g, x)
+            if gx in closure:
+                steps[g].append((x, gx))
+                if x != g:
+                    steps[x].append((g, gx))
+    return closure, MappingProxyType({g: tuple(s) for g, s in steps.items()})
 
 
 def _bfs(ring: GradedRing, start: Element, targets=None):

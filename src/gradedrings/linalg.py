@@ -3,7 +3,10 @@
 Everything in this package computes with exact scalars.  A :class:`Scalar`
 is a pair of ``Fraction`` values (real and imaginary part), so the field is
 Q or Q(i) and field axioms hold on the nose.  There is no floating point and
-no tolerance anywhere.
+no tolerance anywhere.  Most scalars are real and most of those integers, so
+arithmetic on two real scalars computes only the real part, and on two
+integers uses plain ``int`` arithmetic; the results are the same canonical
+``Fraction``s either way.
 
 Inside the kernel a vector is sparse: a dict ``{index: nonzero Scalar}``
 that never stores a zero, so ``if v`` tests for the zero vector and every
@@ -44,7 +47,6 @@ from fractions import Fraction
 from .errors import MalformedInputError, PreconditionError
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class Scalar:
@@ -53,13 +55,30 @@ class Scalar:
     Immutable by convention; arithmetic returns new objects.  ``Fraction``
     keeps numerator/denominator reduced with a positive denominator, so
     equal scalars always compare and hash equal.
+
+    A real scalar's imaginary part is the shared zero ``_F0``: the
+    constructor and every operation put it there, so telling a real scalar
+    from a complex one is an identity test.  When both operands are real,
+    arithmetic computes only the real part; when both are integers as well
+    (denominator 1), it computes with plain ``int``s and wraps the result
+    in ``Fraction(int)``, which skips ``Fraction``'s gcd and operator
+    dispatch.  Either way the parts are the canonical ``Fraction``s that
+    the general formulas give.  A scalar whose zero imaginary part is some
+    other ``Fraction`` is still right; it only takes the general path.
     """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __init__(self, re=_F0, im=_F0):
+        self.re = re if type(re) is Fraction else Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
+        self.im = im if im else _F0
+
+    def __reduce__(self):
+        # pickled and copied scalars come back through __init__, so a real
+        # one gets the shared zero again
+        return Scalar, (self.re, self.im)
 
     # -- parsing and formatting ------------------------------------------
 
@@ -107,61 +126,80 @@ class Scalar:
 
     @staticmethod
     def _coerce(value):
-        if isinstance(value, Scalar):
+        if type(value) is Scalar or isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
             return Scalar(value)
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.re, other.re
+        if self.im is _F0 and other.im is _F0:
+            if a.denominator == 1 and b.denominator == 1:
+                return _scalar(Fraction(a.numerator + b.numerator))
+            return _scalar(a + b)
+        return _scalar(a + b, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.re, other.re
+        if self.im is _F0 and other.im is _F0:
+            if a.denominator == 1 and b.denominator == 1:
+                return _scalar(Fraction(a.numerator - b.numerator))
+            return _scalar(a - b)
+        return _scalar(a - b, self.im - other.im)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return Scalar(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __neg__(self):
-        return Scalar(-self.re, -self.im)
+        a = self.re
+        if self.im is _F0:
+            return _scalar(Fraction(-a.numerator) if a.denominator == 1 else -a)
+        return _scalar(-a, -self.im)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.im and not other.im:
-            return Scalar(self.re * other.re)
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.re, other.re
+        if self.im is _F0 and other.im is _F0:
+            if a.denominator == 1 and b.denominator == 1:
+                return _scalar(Fraction(a.numerator * b.numerator))
+            return _scalar(a * b)
+        c, d = self.im, other.im
+        return _scalar(a * b - c * d, a * d + c * b)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if not other:
             raise ZeroDivisionError("division of scalars by zero")
-        if not self.im and not other.im:
-            return Scalar(self.re / other.re)
-        norm = other.re * other.re + other.im * other.im
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
+        a, b = self.re, other.re
+        if self.im is _F0 and other.im is _F0:
+            if a.denominator == 1 and b.denominator == 1:
+                return _scalar(Fraction(a.numerator, b.numerator))
+            return _scalar(a / b)
+        c, d = self.im, other.im
+        norm = b * b + d * d
+        return _scalar((a * b + c * d) / norm, (c * b - a * d) / norm)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -170,21 +208,28 @@ class Scalar:
         return other / self
 
     def conjugate(self) -> "Scalar":
-        if not self.im:
+        if self.im is _F0:
             return self
-        return Scalar(self.re, -self.im)
+        return _scalar(self.re, -self.im)
 
     def is_real(self) -> bool:
         return not self.im
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.re.numerator != 0 or (self.im is not _F0 and self.im.numerator != 0)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.re, other.re
+        c, d = self.im, other.im
+        return (
+            a.numerator == b.numerator
+            and a.denominator == b.denominator
+            and (c is d or c.numerator == d.numerator and c.denominator == d.denominator)
+        )
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -196,6 +241,18 @@ class Scalar:
         if self.im or other.im:
             raise MalformedInputError("complex scalars are not ordered")
         return self.re < other.re
+
+
+_new_object = object.__new__
+
+
+def _scalar(re: Fraction, im: Fraction = _F0) -> Scalar:
+    """A scalar from canonical ``Fraction`` parts, without the constructor's
+    type checks; a zero imaginary part is replaced by the shared ``_F0``."""
+    s = _new_object(Scalar)
+    s.re = re
+    s.im = im if im is _F0 or im else _F0
+    return s
 
 
 ZERO = Scalar(0)
@@ -259,9 +316,12 @@ def in_form_of(like, vec: dict[int, Scalar], ambient: int):
 
 def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
     """v += c * w in place, for w given by its nonzero (index, value) pairs;
-    entries that cancel are deleted, so v stays free of zeros."""
+    entries that cancel are deleted, so v stays free of zeros.  When c is
+    one, the entries of w are stored as they are: scalars are immutable,
+    so they can be shared."""
+    one = c == ONE
     for j, x in entries:
-        t = c * x
+        t = x if one else c * x
         old = v.get(j)
         if old is None:
             v[j] = t

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -286,6 +288,169 @@ def test_scalar_field_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     if b:
         assert (a / b) * b == a
+
+
+# -- Scalar against a reference on pairs of Fractions -----------------------------
+#
+# The reference holds a value of Q(i) as a pair (re, im) of Fractions and
+# applies the textbook formulas; Scalar's real and integer fast paths must
+# give the same canonical parts, of type Fraction, on every mix of operands.
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    (a, c), (b, d) = x, y
+    return (a * b - c * d, a * d + c * b)
+
+
+def ref_div(x, y):
+    (a, c), (b, d) = x, y
+    norm = b * b + d * d
+    return ((a * b + c * d) / norm, (c * b - a * d) / norm)
+
+
+def ref_str(x):
+    def frac(f):
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+    re, im = x
+    if not im:
+        return frac(re)
+    return f"{frac(re)}{'-' if im < 0 else '+'}{frac(abs(im))}*i"
+
+
+def assert_matches(s, x):
+    assert type(s) is Scalar
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert (s.re, s.im) == x
+    assert s == Scalar(*x) and not (s != Scalar(*x))
+    assert hash(s) == hash(x)
+    assert bool(s) == (x != (0, 0))
+    assert str(s) == ref_str(x)
+
+
+def with_own_zero(s):
+    """The same value with a zero imaginary part that is not the shared
+    zero, as a scalar built around the constructor could hold it."""
+    t = object.__new__(Scalar)
+    t.re = s.re
+    t.im = s.im if s.im else Fraction(0)
+    return t
+
+
+parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.integers(-10**20, 10**20).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+values = st.one_of(st.tuples(parts, st.just(Fraction(0))), st.tuples(parts, parts))
+
+
+@settings(deadline=None, max_examples=300)
+@given(values, values, st.booleans(), st.integers(-7, 7))
+def test_scalar_matches_fraction_pair_reference(x, y, own_zero, k):
+    a, b = Scalar(*x), Scalar(*y)
+    if own_zero:
+        a, b = with_own_zero(a), with_own_zero(b)
+    assert_matches(a, x)
+    assert_matches(a + b, ref_add(x, y))
+    assert_matches(a - b, ref_sub(x, y))
+    assert_matches(a * b, ref_mul(x, y))
+    assert_matches(-a, (-x[0], -x[1]))
+    assert_matches(a.conjugate(), (x[0], -x[1]))
+    assert (a == b) == (x == y)
+    if y != (0, 0):
+        assert_matches(a / b, ref_div(x, y))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    kk = (Fraction(k), Fraction(0))
+    assert_matches(a + k, ref_add(x, kk))
+    assert_matches(k - a, ref_sub(kk, x))
+    assert_matches(k * a, ref_mul(kk, x))
+    assert (a == k) == (x == kk)
+    if x != (0, 0):
+        assert_matches(k / a, ref_div(kk, x))
+
+
+def test_equal_scalars_reached_by_different_paths_are_equal():
+    twos = [
+        Scalar(2),
+        Scalar(Fraction(4, 2)),
+        Scalar(2, 0),
+        Scalar("2"),
+        Scalar.from_string("4/2"),
+        ONE + ONE,
+        Scalar(3) - ONE,
+        -Scalar(-2),
+        Scalar(Fraction(1, 2)) * 4,
+        Scalar(5) / Scalar(Fraction(5, 2)),
+        Scalar(1, 1) * Scalar(1, -1),
+        Scalar(2, 1) - Scalar(0, 1),
+        pickle.loads(pickle.dumps(Scalar(2))),
+        copy.deepcopy(Scalar(2)),
+        with_own_zero(Scalar(2)),
+    ]
+    for s in twos:
+        assert s == twos[0] and s == 2 and s == Fraction(2)
+        assert hash(s) == hash(twos[0])
+        assert str(s) == "2" and s.is_real()
+        assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert len(set(twos)) == 1
+
+
+def test_add_scaled_by_a_one_that_is_not_the_shared_one():
+    one = Scalar.from_string("1")
+    assert one == ONE and one is not ONE
+    w = [(0, Scalar(3)), (2, Scalar(Fraction(-1, 2), 1)), (3, Scalar(5))]
+    base = {0: Scalar(1), 2: Scalar(Fraction(1, 2), -1), 4: Scalar(7)}
+    results = []
+    for c in (ONE, one):
+        v = dict(base)
+        add_scaled(v, c, w)
+        results.append(v)
+        assert v == {0: Scalar(4), 3: Scalar(5), 4: Scalar(7)}  # entry 2 cancelled
+        assert v[3] is w[2][1]  # stored as it is, not multiplied
+    assert results[0] == results[1]
+    v = dict(base)
+    add_scaled(v, Scalar(-1), [(4, Scalar(7)), (1, Scalar(2))])
+    assert v == {0: Scalar(1), 1: Scalar(-2), 2: Scalar(Fraction(1, 2), -1)}
+
+
+def test_exact_arithmetic_builds_few_fractions(monkeypatch):
+    """Counts, not seconds: ``Fraction`` constructions, counted by wrapping
+    ``Fraction.__new__`` (on Python 3.11, where ``Fraction`` arithmetic
+    itself builds its results through the constructor).  When every real
+    scalar built a fresh ``Fraction(0)`` for its imaginary part, every
+    product and sum went through ``Fraction`` arithmetic and ``add_scaled``
+    multiplied by one, ``validate`` on banded (5, 3) with weights (1, 2)
+    made 8,100 and ``properties_report`` on banded (6, 1) made 2,840."""
+    from gradedrings import BandedRingParams, banded_ring, properties_report
+
+    banded = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    oracle = banded_ring(BandedRingParams(6, 1))
+    count = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal count
+        count += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert banded.validate().ok
+    assert 0 < count <= 8100 // 10
+    count = 0
+    report = properties_report(oracle)
+    assert report.simple_by_theorem is True and report.simple_by_oracle is True
+    assert 0 < count <= 2840 // 2
 
 
 # -- differential test against a dense Gauss-Jordan reference ------------------

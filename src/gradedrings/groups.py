@@ -73,7 +73,7 @@ class GroupSignature:
             if not isinstance(e, int):
                 raise MalformedInputError(f"exponent {e!r} is not an integer")
         free = exps[: self.free_rank]
-        tors = tuple(e % m for e, m in zip(exps[self.free_rank :], self.torsion))
+        tors = tuple([e % m for e, m in zip(exps[self.free_rank :], self.torsion)])
         return free + tors
 
     def identity(self) -> Element:
@@ -83,13 +83,18 @@ class GroupSignature:
         """The group law (sum of exponents), unchecked: ``zip`` would silently
         truncate an element of the wrong length, so a and b must be canonical."""
         r = self.free_rank
-        free = tuple(map(add, a[:r], b[:r]))
-        return free + tuple((x + y) % m for x, y, m in zip(a[r:], b[r:], self.torsion))
+        # from a list, so that the tuple is allocated at its final size:
+        # tuple(map(...)) guesses a size and resizes, and each resized tuple
+        # that dies lands on CPython's free list for its size, which then
+        # holds up to 2000 of them until a full garbage collection
+        free = tuple([*map(add, a[:r], b[:r])])
+        return free + tuple([(x + y) % m for x, y, m in zip(a[r:], b[r:], self.torsion)])
 
     def invert_canonical(self, a: Element) -> Element:
         """Inverse of a canonical element, unchecked."""
         r = self.free_rank
-        return tuple(map(neg, a[:r])) + tuple(-x % m for x, m in zip(a[r:], self.torsion))
+        # from a list, as in compose_canonical
+        return tuple([*map(neg, a[:r])]) + tuple([-x % m for x, m in zip(a[r:], self.torsion)])
 
     def compose(self, a, b) -> Element:
         """Product of two exponent vectors, checked; commutative."""

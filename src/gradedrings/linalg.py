@@ -52,9 +52,11 @@ _F0 = Fraction(0)
 class Scalar:
     """An element of Q or Q(i) in reduced canonical form.
 
-    Immutable by convention; arithmetic returns new objects.  ``Fraction``
-    keeps numerator/denominator reduced with a positive denominator, so
-    equal scalars always compare and hash equal.
+    ``Scalar(re, im)`` takes ``int`` or ``Fraction`` parts and raises
+    ``MalformedInputError`` for any other type; strings are parsed by
+    :meth:`from_string`.  Immutable by convention; arithmetic returns new
+    objects.  ``Fraction`` keeps numerator/denominator reduced with a
+    positive denominator, so equal scalars always compare and hash equal.
 
     A real scalar's imaginary part is the shared zero ``_F0``: the
     constructor and every operation put it there, so telling a real scalar
@@ -70,9 +72,9 @@ class Scalar:
     __slots__ = ("re", "im")
 
     def __init__(self, re=_F0, im=_F0):
-        self.re = re if type(re) is Fraction else Fraction(re)
+        self.re = re if type(re) is Fraction else _fraction(re)
         if type(im) is not Fraction:
-            im = Fraction(im)
+            im = _fraction(im)
         self.im = im if im else _F0
 
     def __reduce__(self):
@@ -243,6 +245,13 @@ class Scalar:
         return self.re < other.re
 
 
+def _fraction(part) -> Fraction:
+    """A scalar part, ``int`` or ``Fraction``, as a plain ``Fraction``."""
+    if isinstance(part, (int, Fraction)):
+        return Fraction(part)
+    raise MalformedInputError(f"scalar parts must be int or Fraction, got {type(part).__name__}")
+
+
 _new_object = object.__new__
 
 
@@ -373,7 +382,8 @@ class Gram:
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         if self._rows is None:
             n = len(self.sparse)
-            self._rows = tuple(tuple(row.get(j, ZERO) for j in range(n)) for row in self.sparse)
+            # from lists, as in GroupSignature.compose_canonical
+            self._rows = tuple([tuple([row.get(j, ZERO) for j in range(n)]) for row in self.sparse])
         return self._rows
 
     def __len__(self):
@@ -534,7 +544,8 @@ class Subspace:
     @property
     def rows(self) -> tuple[tuple[Scalar, ...], ...]:
         if self._rows is None:
-            self._rows = tuple(tuple(as_dense(r, self.ambient)) for r in self.sparse.values())
+            # from a list, as in GroupSignature.compose_canonical
+            self._rows = tuple([tuple(as_dense(r, self.ambient)) for r in self.sparse.values()])
         return self._rows
 
     @classmethod

@@ -2,30 +2,34 @@
 
 Reports are plain dictionaries of JSON-native values so they round-trip
 losslessly.  Sections are present exactly when the corresponding analysis
-was requested.  Serialization sorts keys, so a report is byte-stable across
-runs of the same analysis on the same input.  The text rendering is a pure
-function of the JSON report.
+was requested.  A subspace's basis is written from its sparse rows: every
+row starts as ``"0"`` strings and only the nonzero coordinates are
+formatted.  Serialization goes through :func:`specfile.dumps_json`, which
+writes what ``json.dumps(report, indent=2, sort_keys=True)`` writes; keys
+are sorted, so a report is byte-stable across runs of the same analysis on
+the same input.  The text rendering is a pure function of the JSON report.
 """
 
 from __future__ import annotations
-
-import json
 
 from .connections import ConnectionClasses
 from .decomposition import IdealDecomposition
 from .properties import PropertyReport
 from .ring import GradedRing, ViolationReport
+from .specfile import dense_strings, dumps_json
 
 
 def _element(e) -> list[int]:
     return [int(x) for x in e]
 
 
+def _basis(sub) -> list[list[str]]:
+    """The dense rows of a subspace's canonical basis, as strings."""
+    return dense_strings(sub.sparse.values(), sub.ambient)
+
+
 def _subspace(sub) -> dict:
-    return {
-        "dimension": sub.dim,
-        "basis": [[str(x) for x in row] for row in sub.rows],
-    }
+    return {"dimension": sub.dim, "basis": _basis(sub)}
 
 
 def validation_section(report: ViolationReport) -> dict:
@@ -78,7 +82,7 @@ def decomposition_section(dec: IdealDecomposition) -> dict:
                 "dimension": ideal.dim,
                 "identity_span_dimension": one_span.dim,
                 "component_sum_dimension": comp_sum.dim,
-                "basis": [[str(x) for x in row] for row in ideal.rows],
+                "basis": _basis(ideal),
             }
         )
     return {
@@ -131,7 +135,7 @@ def properties_section(props: PropertyReport) -> dict:
 
 
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return dumps_json(report)
 
 
 def render_text(report: dict) -> str:

@@ -125,11 +125,12 @@ class GradedRing:
         if not isinstance(signature, GroupSignature):
             raise MalformedInputError("signature must be a GroupSignature")
         self.signature = signature
-        self.degrees: tuple[Element, ...] = tuple(tuple(d) for d in degrees)
+        # tuples are built from lists here, as in GroupSignature.compose_canonical
+        self.degrees: tuple[Element, ...] = tuple([tuple(d) for d in degrees])
         n = len(self.degrees)
         if labels is None:
-            labels = tuple(f"e{i}" for i in range(n))
-        self.labels = tuple(str(s) for s in labels)
+            labels = tuple([f"e{i}" for i in range(n)])
+        self.labels = tuple([str(s) for s in labels])
         # repeated (i, j, k) terms are summed and terms that cancel dropped,
         # so a key is kept exactly when its product is nonzero
         terms: dict[tuple[int, int], dict] = {}
@@ -183,7 +184,7 @@ class GradedRing:
         canonical: dict[tuple, bool] = {}
         malformed = []
         for i, d in enumerate(self.degrees):
-            key = (d, tuple(map(type, d)))
+            key = (d, tuple([*map(type, d)]))
             if key not in canonical:
                 try:
                     canonical[key] = sig.element(d) == d

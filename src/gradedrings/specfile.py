@@ -17,14 +17,21 @@ leave no product behind.  Scalar strings are "p", "p/q", "a+b*i" or
 "a-b*i" with reduced fractions.
 A Gram is either a dense matrix (list of rows of scalar strings) or
 {"sparse": [{"i": int, "j": int, "scalar": str}, ...]} with omitted entries
-zero.  Indices are 0-based.  Serialization is deterministic: structure
-triples are sorted, scalars are written canonically, and keys are emitted
-in sorted order, so equal rings produce byte-identical files.
+zero.  Indices are 0-based.  A load parses each distinct scalar string
+once and shares the resulting (immutable) scalar wherever the string
+recurs; dense Gram rows are read straight into their nonzero entries.
+
+Serialization is deterministic: structure triples are sorted, scalars are
+written canonically, and keys are emitted in sorted order, so equal rings
+produce byte-identical files.  :func:`dumps_json` writes spec files and
+analysis reports alike; its output is byte for byte that of
+``json.dumps(value, indent=2, sort_keys=True)`` plus a final newline.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .errors import MalformedInputError, SpecFileError
 from .groups import GroupSignature
@@ -37,6 +44,19 @@ FORMAT_VERSION = 1
 _DENSE_GRAM_LIMIT = 16
 
 
+def dense_strings(rows, n: int) -> list[list[str]]:
+    """Sparse rows ``{j: nonzero Scalar}`` as dense rows of ``n`` scalar
+    strings: each row starts as ``"0"``s and only its entries are
+    formatted, since a zero prints as ``"0"``."""
+    out = []
+    for row in rows:
+        strings = ["0"] * n
+        for j, x in row.items():
+            strings[j] = str(x)
+        out.append(strings)
+    return out
+
+
 def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     structure = [
         {"i": i, "j": j, "k": k, "scalar": str(c)}
@@ -47,7 +67,7 @@ def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     for gram in ring.grams:
         n = len(gram)
         if n <= _DENSE_GRAM_LIMIT:
-            grams.append([[str(row.get(j, ZERO)) for j in range(n)] for row in gram.sparse])
+            grams.append(dense_strings(gram.sparse, n))
         else:
             entries = [
                 {"i": i, "j": j, "scalar": str(row[j])}
@@ -69,8 +89,71 @@ def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     }
 
 
+_STR_ONLY = {str}
+_INT_ONLY = {int}
+
+
+def dumps_json(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True) + "\\n"``, byte for byte,
+    for values built from str-keyed dicts, lists, tuples, str, int, float,
+    bool and None; anything else raises ``TypeError``.  Strings go through
+    json's own escaper and floats through ``json.dumps``; a list of only
+    strs or only ints (never bools) is written in one join.  Unlike json's
+    indenting encoder, whose closures form a reference cycle per call, it
+    leaves no garbage for the cyclic collector."""
+    parts: list[str] = []
+    _write_json(value, "\n", parts)
+    return "".join(parts) + "\n"
+
+
+def _write_json(value, newline: str, parts: list[str]) -> None:
+    """Append the encoding of ``value`` to ``parts``; ``newline`` is a line
+    break followed by the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(json.dumps(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == _STR_ONLY or kinds == _INT_ONLY:
+            encode = encode_basestring_ascii if kinds == _STR_ONLY else int.__repr__
+            parts.append("[" + inner + ("," + inner).join(map(encode, value)) + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _write_json(item, inner, parts)
+            sep = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, parts)
+            sep = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps_ring(ring: GradedRing, metadata: dict | None = None) -> str:
-    return json.dumps(ring_to_dict(ring, metadata), indent=2, sort_keys=True) + "\n"
+    return dumps_json(ring_to_dict(ring, metadata))
 
 
 def save_ring(path, ring: GradedRing, metadata: dict | None = None) -> None:
@@ -90,15 +173,37 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _parse_scalar(text, where: str) -> Scalar:
+def _int_field(data: dict, key: str, where: str) -> int:
+    """``data[key]``, an integer; the field's name is formatted only for an error."""
+    value = _need(data, key, where)
+    return value if type(value) is int else _as_int(value, f"{where}.{key}")
+
+
+def _parse_scalar(text, where: str, parsed: dict) -> Scalar:
+    """Parse ``text``, which ``parsed`` does not hold, and store it there
+    if it is a ``str``; every zero becomes the shared ``ZERO``, so callers
+    test for zero by identity.  ``Scalar.from_string`` rejects non-strings."""
     try:
-        return Scalar.from_string(text)
+        scalar = Scalar.from_string(text) or ZERO
     except MalformedInputError as exc:
         raise SpecFileError(f"{where}: {exc}") from exc
+    if type(text) is str:
+        parsed[text] = scalar
+    return scalar
+
+
+def _scalar_field(data: dict, key: str, where: str, parsed: dict) -> Scalar:
+    """``data[key]`` as a scalar, looked up in ``parsed`` or parsed."""
+    text = _need(data, key, where)
+    scalar = parsed.get(text) if type(text) is str else None
+    return _parse_scalar(text, f"{where}.{key}", parsed) if scalar is None else scalar
 
 
 def ring_from_dict(data) -> GradedRing:
     """Parse a spec dictionary; SpecFileError messages name the field."""
+    # each distinct scalar string is parsed once per load and its
+    # (immutable) scalar shared; only str values are looked up or stored
+    parsed: dict[str, Scalar] = {}
     if not isinstance(data, dict):
         raise SpecFileError("top level: expected a JSON object")
     version = _need(data, "format_version", "top level")
@@ -107,7 +212,7 @@ def ring_from_dict(data) -> GradedRing:
     group = _need(data, "group", "top level")
     if not isinstance(group, dict):
         raise SpecFileError("group: expected an object")
-    free_rank = _as_int(_need(group, "free_rank", "group"), "group.free_rank")
+    free_rank = _int_field(group, "free_rank", "group")
     torsion = _need(group, "torsion", "group")
     if not isinstance(torsion, list):
         raise SpecFileError("group.torsion: expected a list")
@@ -131,7 +236,9 @@ def ring_from_dict(data) -> GradedRing:
     for idx, vec in enumerate(degrees_raw):
         if not isinstance(vec, list):
             raise SpecFileError(f"degrees[{idx}]: expected a list of integers")
-        degrees.append(tuple(_as_int(e, f"degrees[{idx}]") for e in vec))
+        for e in vec:
+            _as_int(e, f"degrees[{idx}]")
+        degrees.append(tuple(vec))
         if len(degrees[-1]) != sig.length:
             raise SpecFileError(
                 f"degrees[{idx}]: has {len(degrees[-1])} coordinates, "
@@ -146,13 +253,13 @@ def ring_from_dict(data) -> GradedRing:
         where = f"structure[{idx}]"
         if not isinstance(entry, dict):
             raise SpecFileError(f"{where}: expected an object")
-        i = _as_int(_need(entry, "i", where), f"{where}.i")
-        j = _as_int(_need(entry, "j", where), f"{where}.j")
-        k = _as_int(_need(entry, "k", where), f"{where}.k")
+        i = _int_field(entry, "i", where)
+        j = _int_field(entry, "j", where)
+        k = _int_field(entry, "k", where)
         for name, value in (("i", i), ("j", j), ("k", k)):
             if not 0 <= value < n:
                 raise SpecFileError(f"{where}.{name}: index {value} out of range 0..{n - 1}")
-        scalar = _parse_scalar(_need(entry, "scalar", where), f"{where}.scalar")
+        scalar = _scalar_field(entry, "scalar", where, parsed)
         structure.setdefault((i, j), []).append((k, scalar))
 
     grams_raw = _need(data, "grams", "top level")
@@ -170,21 +277,28 @@ def ring_from_dict(data) -> GradedRing:
                 spot = f"{where}.sparse[{idx}]"
                 if not isinstance(entry, dict):
                     raise SpecFileError(f"{spot}: expected an object")
-                i = _as_int(_need(entry, "i", spot), f"{spot}.i")
-                j = _as_int(_need(entry, "j", spot), f"{spot}.j")
+                i = _int_field(entry, "i", spot)
+                j = _int_field(entry, "j", spot)
                 if not (0 <= i < n and 0 <= j < n):
                     raise SpecFileError(f"{spot}: index ({i},{j}) out of range")
-                rows[i][j] = _parse_scalar(_need(entry, "scalar", spot), f"{spot}.scalar")
+                rows[i][j] = _scalar_field(entry, "scalar", spot, parsed)
             grams.append(rows)
         elif isinstance(gram, list):
             if len(gram) != n or any(not isinstance(row, list) or len(row) != n for row in gram):
                 raise SpecFileError(f"{where}: expected a dense {n}x{n} matrix")
-            grams.append(
-                [
-                    [_parse_scalar(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-                    for i, row in enumerate(gram)
-                ]
-            )
+            rows = []
+            for i, row in enumerate(gram):
+                nonzero = {}
+                for j, x in enumerate(row):
+                    # _scalar_field's lookup, inlined so that the entry's
+                    # name is formatted only for a string not seen before
+                    scalar = parsed.get(x) if type(x) is str else None
+                    if scalar is None:
+                        scalar = _parse_scalar(x, f"{where}[{i}][{j}]", parsed)
+                    if scalar is not ZERO:
+                        nonzero[j] = scalar
+                rows.append(nonzero)
+            grams.append(rows)
         else:
             raise SpecFileError(f"{where}: expected a dense matrix or a sparse object")
 

@@ -217,6 +217,24 @@ def test_malformed_scalar_exits_two(capsys, tmp_path):
     assert "scalar" in err or "grams" in err
 
 
+@pytest.mark.parametrize("spot", ["dense", "structure"])
+def test_a_list_given_as_a_scalar_exits_two(capsys, tmp_path, spot):
+    data = malformed_scalar_spec_dict()
+    data["grams"][0][0][0] = "1"
+    if spot == "dense":
+        data["grams"][0][1][0] = ["0"]
+        where = "grams[0][1][0]"
+    else:
+        data["structure"] = [{"i": 0, "j": 0, "k": 0, "scalar": ["1"]}]
+        where = "structure[0].scalar"
+    path = tmp_path / "listscalar.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {where}: scalar must be a string, got list\n"
+
+
 def test_unreadable_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(tmp_path / "nope.json"))
     assert code == 2

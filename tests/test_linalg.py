@@ -28,6 +28,7 @@ from gradedrings.linalg import (
     Gram,
     add_scaled,
     as_dense,
+    as_scalar,
     as_sparse,
     is_hermitian,
 )
@@ -51,6 +52,28 @@ def test_scalar_parse_garbage():
     for text in ["", "x", "1//2", "1+i*", "1.5", "i"]:
         with pytest.raises(MalformedInputError):
             Scalar.from_string(text)
+
+
+@pytest.mark.parametrize(
+    "parts, kind",
+    [((0.1,), "float"), (("1.5",), "str"), ((1, 0.5), "float"), (("2",), "str"), ((None,), "NoneType")],
+)
+def test_scalar_parts_must_be_exact_numbers(parts, kind):
+    """Floats are not read approximately and strings go through from_string."""
+    with pytest.raises(MalformedInputError, match=f"got {kind}"):
+        Scalar(*parts)
+
+
+def test_scalar_parts_may_be_int_or_fraction():
+    class Half(Fraction):
+        pass
+
+    s = Scalar(True, Half(1, 2))
+    assert (s.re, s.im) == (Fraction(1), Fraction(1, 2))
+    assert type(s.re) is Fraction and type(s.im) is Fraction
+    assert as_scalar("3/2") == Scalar(Fraction(3, 2))
+    with pytest.raises(MalformedInputError):
+        as_scalar(0.1)
 
 
 def test_scalar_field_arithmetic():
@@ -385,7 +408,7 @@ def test_equal_scalars_reached_by_different_paths_are_equal():
         Scalar(2),
         Scalar(Fraction(4, 2)),
         Scalar(2, 0),
-        Scalar("2"),
+        Scalar.from_string("2"),
         Scalar.from_string("4/2"),
         ONE + ONE,
         Scalar(3) - ONE,

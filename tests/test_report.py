@@ -1,8 +1,15 @@
+import gc
 import json
+
+import pytest
 
 from gradedrings import (
     BandedRingParams,
+    GradedRing,
+    GroupSignature,
     banded_ring,
+    dumps_ring,
+    random_ring,
     connection_classes,
     decompose,
     is_symmetric_support,
@@ -17,6 +24,8 @@ from gradedrings.report import (
     support_section,
     validation_section,
 )
+
+from gradedrings.linalg import ONE, ZERO, Scalar
 
 from conftest import grading_defect_ring
 
@@ -37,6 +46,55 @@ def full_report(ring):
 def test_report_round_trips_through_json():
     report = full_report(banded_ring(BandedRingParams(2, 2)))
     assert json.loads(dumps_report(report)) == report
+
+
+def test_dumps_report_matches_json_dumps():
+    report = full_report(banded_ring(BandedRingParams(3, 2)))
+    report["timing"] = {"seconds": 0.012345}
+    assert dumps_report(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def test_writers_leave_no_cyclic_garbage():
+    """Writing a report or a spec file creates no reference cycles, so it
+    leaves the cyclic collector nothing to free."""
+    ring = banded_ring(BandedRingParams(2, 2))
+    report = full_report(ring)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        dumps_report(report)
+        dumps_ring(ring, {"generator": "banded"})
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def complex_ring():
+    """Dim 3, trivially graded, with Q(i) entries in its Gram."""
+    i = Scalar(0, 1)
+    gram = [[ONE, i, ZERO], [-i, Scalar(2), ZERO], [ZERO, ZERO, ZERO]]
+    return GradedRing(GroupSignature(0, ()), [(), (), ()], {}, [gram])
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [banded_ring(BandedRingParams(3, 2)), random_ring(3), random_ring(11), complex_ring()],
+    ids=["band3x2", "random3", "random11", "complex"],
+)
+def test_basis_rows_are_the_dense_canonical_rows(ring):
+    """Bases written from sparse rows equal the dense rows, entry by entry."""
+
+    def dense(sub):
+        return [[str(x) for x in row] for row in sub.rows]
+
+    dec = decompose(ring)
+    section = decomposition_section(dec)
+    assert [ideal["basis"] for ideal in section["ideals"]] == [dense(i) for i in dec.ideals]
+    assert section["complement"]["basis"] == dense(dec.complement)
+    props = properties_report(ring, oracle_samples=1)
+    assert properties_section(props)["annihilator"]["basis"] == dense(props.annihilator)
 
 
 def test_dumps_report_is_deterministic():

@@ -1,6 +1,10 @@
 import json
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedrings import (
     BandedRingParams,
@@ -19,6 +23,7 @@ from gradedrings import (
     ring_to_dict,
     save_ring,
 )
+from gradedrings.specfile import dense_strings, dumps_json
 
 @pytest.mark.parametrize(
     "ring",
@@ -121,6 +126,30 @@ def test_bad_scalar_diagnostic():
         ring_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [True, "1", 1.0, None])
+@pytest.mark.parametrize(
+    "spot, where",
+    [
+        ("structure", r"structure\[1\]\.j"),
+        ("sparse", r"grams\[0\]\.sparse\[0\]\.i"),
+        ("degrees", r"degrees\[2\]"),
+        ("free_rank", r"group\.free_rank"),
+    ],
+)
+def test_non_integer_fields_are_rejected(spot, where, value):
+    data = base_dict()
+    if spot == "structure":
+        data["structure"][1]["j"] = value
+    elif spot == "sparse":
+        data["grams"][0] = {"sparse": [{"i": value, "j": 0, "scalar": "1"}]}
+    elif spot == "degrees":
+        data["degrees"][2][0] = value
+    else:
+        data["group"]["free_rank"] = value
+    with pytest.raises(SpecFileError, match=where + ": expected an integer"):
+        ring_from_dict(data)
+
+
 def test_degree_length_diagnostic():
     data = base_dict()
     data["degrees"][1] = [1]
@@ -167,3 +196,176 @@ def test_unrepresentable_scalars_are_malformed_input(text):
     data["structure"][1]["scalar"] = text
     with pytest.raises(SpecFileError, match=r"structure\[1\]\.scalar"):
         loads_ring(json.dumps(data))
+
+
+# -- parsing each scalar string once ---------------------------------------
+
+
+def count_from_string(monkeypatch) -> Counter:
+    """Count ``Scalar.from_string`` calls per argument from now on."""
+    calls = Counter()
+    parse = Scalar.from_string
+
+    def counted(cls, text):
+        calls[text if isinstance(text, str) else repr(text)] += 1
+        return parse(text)
+
+    monkeypatch.setattr(Scalar, "from_string", classmethod(counted))
+    return calls
+
+
+def spec_scalar_strings(data) -> set:
+    strings = {entry["scalar"] for entry in data["structure"]}
+    for gram in data["grams"]:
+        if isinstance(gram, dict):
+            strings.update(entry["scalar"] for entry in gram["sparse"])
+        else:
+            strings.update(x for row in gram for x in row)
+    return strings
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [
+        banded_ring(BandedRingParams(5, 3, None, (Fraction(1), Fraction(2)))),
+        random_ring(1),  # dim 12: a dense Gram
+    ],
+    ids=["banded5x3-w1,2", "random1-dense"],
+)
+def test_each_scalar_string_is_parsed_once_per_load(monkeypatch, ring):
+    text = dumps_ring(ring)
+    data = json.loads(text)
+    calls = count_from_string(monkeypatch)
+    assert loads_ring(text) == ring
+    assert set(calls) == spec_scalar_strings(data)
+    assert max(calls.values()) == 1
+    # no cache outlives a load: the next load parses every string again
+    loads_ring(text)
+    assert set(calls.values()) == {2}
+
+
+def test_banded_spec_parses_two_strings():
+    """Banded (5, 3) with weights (1, 2) spells 525 scalars with two strings."""
+    data = ring_to_dict(banded_ring(BandedRingParams(5, 3, None, (Fraction(1), Fraction(2)))))
+    assert len(data["structure"]) + sum(len(g["sparse"]) for g in data["grams"]) == 525
+    assert spec_scalar_strings(data) == {"1", "2"}
+
+
+def test_dense_gram_zeros_are_dropped_at_parse_time():
+    data = base_dict()
+    n = len(data["basis"])
+    data["grams"][0] = [["0/7" if i != j else "3/3" for j in range(n)] for i in range(n)]
+    gram = ring_from_dict(data).grams[0]
+    assert gram.sparse == tuple({i: Scalar(1)} for i in range(n))
+    assert gram.square
+
+
+def test_equal_strings_share_one_scalar():
+    ring = loads_ring(dumps_ring(banded_ring(BandedRingParams(2, 1))))
+    ones = {id(c) for entries in ring.structure.values() for _, c in entries}
+    assert len(ones) == 1
+
+
+@pytest.mark.parametrize("spot", ["dense", "structure"])
+def test_a_list_given_as_a_scalar_names_the_field(spot):
+    data = base_dict()
+    if spot == "dense":
+        data["grams"][0][1][2] = ["1"]
+        where = r"grams\[0\]\[1\]\[2\]"
+    else:
+        data["structure"][3]["scalar"] = ["1"]
+        where = r"structure\[3\]\.scalar"
+    with pytest.raises(SpecFileError, match=where + ": scalar must be a string, got list"):
+        ring_from_dict(data)
+    with pytest.raises(SpecFileError, match=where):
+        loads_ring(json.dumps(data))
+
+
+def test_a_failed_parse_is_not_remembered(monkeypatch):
+    data = base_dict()
+    data["structure"][0]["scalar"] = "1/0"
+    calls = count_from_string(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(SpecFileError, match=r"structure\[0\]\.scalar"):
+            ring_from_dict(data)
+    assert calls["1/0"] == 2
+
+
+def test_dense_strings_writes_only_nonzero_entries():
+    rows = [{1: Scalar(Fraction(-1, 2))}, {}, {0: Scalar(0, 1), 2: Scalar(3)}]
+    assert dense_strings(rows, 3) == [["0", "-1/2", "0"], ["0", "0", "0"], ["0+1*i", "0", "3"]]
+
+
+# -- the JSON writer --------------------------------------------------------
+
+json_strings = st.text() | st.sampled_from(
+    ["", '"', "\\", "\x00\x1f\x7f", "\n\t\r\b\f", "é", "\u2028", "\U0001f600", '"a"\\b/']
+)
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 1e300, -1e-300, 5e-324, 0.1, 1e16, 123456789.0])
+    | json_strings
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(json_strings)
+    | st.lists(st.integers())
+    | st.dictionaries(json_strings, children),
+    max_leaves=40,
+)
+
+
+def reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(json_values)
+def test_dumps_json_matches_json_dumps(value):
+    assert dumps_json(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        None,
+        True,
+        [],
+        {},
+        (),
+        [True, 1, "1", None],
+        [True, False],
+        [1, True],
+        ["a", 1],
+        [1, 2.5],
+        [[], {}, [[]], {"": []}],
+        {"b": [1, 2], "a": {"d": "x", "c": ["y", "z"]}, "é": -0.0},
+        [2**64, -(2**64) - 1, 0],
+        [float("inf"), float("-inf"), float("nan")],
+        {"seconds": 0.123456},
+    ],
+)
+def test_dumps_json_matches_json_dumps_on_edge_cases(value):
+    assert dumps_json(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{("a",): 1}], {1, 2}, ["a", {1}], b"x"])
+def test_dumps_json_rejects_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        dumps_json(value)
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [banded_ring(BandedRingParams(3, 2)), random_ring(1), random_ring(5)],
+    ids=["band3x2", "random1", "random5"],
+)
+def test_dumps_ring_matches_json_dumps(ring):
+    meta = {"generator": "test", "weights": ["1", "3/2"], "n": 3}
+    assert dumps_ring(ring, meta) == reference_dumps(ring_to_dict(ring, meta))

@@ -5,7 +5,8 @@ units inside a band and annihilate across bands, and each unit is graded by
 a difference of free-abelian generators attached to distinct primes.
 """
 
-from gradedrings import BandedRingParams, GradedRing, banded_ring, unit_vector
+from gradedrings import BandedRingParams, GradedRing, banded_ring
+from gradedrings.linalg import ONE
 
 params = BandedRingParams(size=3, bands=1)
 ring = banded_ring(params)
@@ -15,10 +16,9 @@ print(f"basis labels: {', '.join(ring.labels)}")
 print()
 
 print("a few products (read a((n,t),(m,t)) as the unit E_nm of band t):")
-n = ring.dim
 for left, right in [(0, 1), (1, 5), (1, 3)]:
-    product = ring.multiply(unit_vector(n, left), unit_vector(n, right))
-    terms = [ring.labels[k] for k, c in enumerate(product) if c]
+    product = ring.multiply({left: ONE}, {right: ONE})  # vectors are {index: scalar}
+    terms = [ring.labels[k] for k in sorted(product)]
     print(f"  {ring.labels[left]} * {ring.labels[right]} = {terms[0] if terms else '0'}")
 print()
 

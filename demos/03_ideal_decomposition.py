@@ -19,7 +19,7 @@ from gradedrings import (
 from gradedrings.linalg import ONE
 
 two_bands = banded_ring(BandedRingParams(size=2, bands=2))
-line = GradedRing(GroupSignature(0, ()), [()], {}, [[[ONE]]], ["z"])
+line = GradedRing(GroupSignature(0, ()), [()], {}, [[{0: ONE}]], ["z"])  # Gram rows {j: scalar}
 ring = direct_sum(two_bands, line)
 print(f"ring: {ring}")
 print(f"validates: {ring.validate().ok}")

@@ -17,8 +17,8 @@ from gradedrings import (
     group_algebra,
     ideal_closure,
     theorem_hypotheses,
-    unit_vector,
 )
+from gradedrings.linalg import ONE
 
 
 def show(name, ring):
@@ -51,5 +51,5 @@ show("group algebra of Z/5", group_algebra(GroupSignature(0, (5,))))
 
 print("closures in the one-band ring all fill it, for example from a single")
 print("off-diagonal unit:")
-c = ideal_closure(one_band, unit_vector(one_band.dim, 1))
+c = ideal_closure(one_band, {1: ONE})
 print(f"  closure of {one_band.labels[1]} has dimension {c.dim} of {one_band.dim}")

@@ -20,9 +20,7 @@ from .connections import (
 )
 from .decomposition import (
     IdealDecomposition,
-    class_component_sum,
     class_ideal,
-    class_identity_span,
     decompose,
     identity_complement,
     identity_products_span,
@@ -56,9 +54,6 @@ from .linalg import (
     psd_check,
     psd_counterexample,
     span,
-    unit_vector,
-    vector,
-    zero_vector,
 )
 from .properties import (
     CoherenceReport,

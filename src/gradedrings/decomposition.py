@@ -11,7 +11,8 @@ For a connection class C of the support, three subspaces are built:
   graded ideal, and ideals of distinct classes annihilate each other.
 
 One private body, ``_class_parts``, builds all three for both
-:func:`class_ideal` and :func:`decompose`.
+:func:`class_ideal` and :func:`decompose`, whose ``identity_spans`` and
+``component_sums`` hold the first two per class.
 
 Together with an orthogonal complement of the span of *all* products of
 inverse-degree components inside the identity component, the class ideals
@@ -64,35 +65,17 @@ def _require_partition_block(ring: GradedRing, block) -> tuple[Element, ...]:
     return block
 
 
-def _component_sum(ring: GradedRing, block) -> Subspace:
-    return coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
-
-
 def _class_parts(ring: GradedRing, block) -> tuple[Subspace, Subspace, Subspace]:
     """Identity span, component sum and ideal of a connection class; an ideal
     failing :func:`is_graded_ideal` is a theorem violation."""
     one_span = _inverse_products_span(ring, block)
-    comp_sum = _component_sum(ring, block)
+    comp_sum = coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
     ideal = one_span.sum(comp_sum)
     if not is_graded_ideal(ring, ideal):
         raise TheoremViolationError(
             f"class ideal of {list(block)} failed the graded-ideal check"
         )
     return one_span, comp_sum, ideal
-
-
-def class_identity_span(ring: GradedRing, block) -> Subspace:
-    """Span of the products E_h E_{h^-1} over all h in the class.
-
-    Always contained in the identity component, since the degrees multiply
-    to the identity.
-    """
-    return _inverse_products_span(ring, _require_partition_block(ring, block))
-
-
-def class_component_sum(ring: GradedRing, block) -> Subspace:
-    """Direct sum of the homogeneous components with degree in the class."""
-    return _component_sum(ring, _require_partition_block(ring, block))
 
 
 def class_ideal(ring: GradedRing, block) -> Subspace:
@@ -128,6 +111,12 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
 def identity_products_span(ring: GradedRing) -> Subspace:
     """Span of all products E_g E_{g^-1} with g running over the support."""
     return _inverse_products_span(ring, ring.sorted_support())
+
+
+@derived
+def identity_spanned_by_products(ring: GradedRing) -> bool:
+    """Whether the products E_g E_{g^-1} span the whole identity component."""
+    return identity_products_span(ring) == ring.identity_component()
 
 
 def identity_complement(ring: GradedRing) -> tuple[Subspace, bool]:

@@ -8,28 +8,23 @@ arithmetic on two real scalars computes only the real part, and on two
 integers uses plain ``int`` arithmetic; the results are the same canonical
 ``Fraction``s either way.
 
-Inside the kernel a vector is sparse: a dict ``{index: nonzero Scalar}``
-that never stores a zero, so ``if v`` tests for the zero vector and every
-loop visits only nonzero coordinates.  A sparse vector is not changed once
-it has been handed to another function; echelon rows are replaced rather
-than updated in place, so they can be shared.  The public API takes and
-returns dense sequences of scalars: every function that takes a vector
-accepts either form, and the ring products answer in the form they were
-given (:func:`in_form_of`).  :class:`EchelonBasis` keeps its rows and
-residuals sparse.  A :class:`Subspace` stores a reduced row-echelon basis,
-which is a canonical form: its dense ``rows`` are identical exactly when
-two subspaces are equal, and its sparse rows are what the kernel computes
-with.
+A vector is sparse: a dict ``{index: nonzero Scalar}`` that never stores a
+zero, so ``if v`` tests for the zero vector and every loop visits only
+nonzero coordinates.  This is the one vector form of the library: every
+function that takes a vector takes a dict, and every vector returned is
+one.  A vector is not changed once it has been handed to another function;
+echelon rows are replaced rather than updated in place, so they can be
+shared.  A :class:`Subspace` stores a reduced row-echelon basis, which is a
+canonical form: its sparse rows are equal exactly when two subspaces are.
+Dense rows exist only as text, where a report or spec file is written
+(:func:`dense_strings`).
 
 A Gram matrix is held as a read-only :class:`Gram`: one sparse row
 ``{j: nonzero Scalar}`` per row, plus a flag recording whether the input
-was square.  ``gram[i][j]`` and ``len(gram)`` read it as a dense matrix,
-built on first use, but every check, pairing and complement visits only the
-nonzero entries.  The functions that take a Gram (:func:`pairing`,
+was square.  The functions that take a Gram (:func:`pairing`,
 :func:`pairing_vanishes`, :func:`is_hermitian`, :func:`psd_counterexample`,
-:func:`psd_check` and :func:`joint_orthogonal_complement`) accept a
-:class:`Gram`, a dense matrix (a sequence of rows of scalars) or sparse dict
-rows, converted once by :func:`as_gram`.
+:func:`psd_check` and :func:`joint_orthogonal_complement`) take a
+:class:`Gram` and visit only its nonzero entries.
 
 Pairings against a Gram matrix G use the convention
 
@@ -214,9 +209,6 @@ class Scalar:
             return self
         return _scalar(self.re, -self.im)
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return self.re.numerator != 0 or (self.im is not _F0 and self.im.numerator != 0)
 
@@ -279,48 +271,14 @@ def as_scalar(value) -> Scalar:
 
 # -- vectors --------------------------------------------------------------
 
-def zero_vector(n: int) -> list[Scalar]:
-    return [ZERO] * n
-
-
-def unit_vector(n: int, i: int) -> list[Scalar]:
-    v = [ZERO] * n
-    v[i] = ONE
-    return v
-
-
-def vector(values) -> list[Scalar]:
-    return [as_scalar(v) for v in values]
-
-
-def as_sparse(vec, ambient: int | None = None) -> dict[int, Scalar]:
-    """The sparse form of a vector.  A dict is taken to be sparse already
-    and returned as it is; a dense vector is checked against ``ambient``
-    when that is given."""
-    if isinstance(vec, dict):
-        return vec
-    if ambient is not None and len(vec) != ambient:
-        raise MalformedInputError(
-            f"vector has length {len(vec)}, ambient dimension is {ambient}"
-        )
-    out = {}
-    for j, x in enumerate(vec):
-        x = as_scalar(x)
-        if x:
-            out[j] = x
-    return out
-
-
-def as_dense(vec: dict[int, Scalar], ambient: int) -> list[Scalar]:
-    out = [ZERO] * ambient
+def dense_strings(vec: dict[int, Scalar], n: int) -> list[str]:
+    """A sparse vector as ``n`` scalar strings: the list starts as ``"0"``s
+    and only the nonzero entries are formatted, since a zero prints as
+    ``"0"``.  Reports and spec files write dense rows through this."""
+    strings = ["0"] * n
     for j, x in vec.items():
-        out[j] = x
-    return out
-
-
-def in_form_of(like, vec: dict[int, Scalar], ambient: int):
-    """``vec`` in the form (sparse or dense) of the argument ``like``."""
-    return vec if isinstance(like, dict) else as_dense(vec, ambient)
+        strings[j] = str(x)
+    return strings
 
 
 def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
@@ -347,50 +305,32 @@ def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
 class Gram:
     """A Gram matrix held by the nonzero entries of its rows; read-only.
 
-    ``sparse`` has one ``{j: nonzero Scalar}`` dict per row.  ``square``
-    records whether the input was square: every dense row as long as there
-    are rows, every sparse index in range.  ``gram[i][j]`` reads the dense
-    n x n matrix (``ZERO`` off the support), built on first use; of a
-    non-square input it holds the entries inside the n x n square.
+    Built from sparse rows ``{j: scalar}``; ``sparse`` keeps one
+    ``{j: nonzero Scalar}`` dict per row.  An entry that is already a
+    :class:`Scalar` is taken as it is.  ``square`` records whether every
+    input index j of the n rows lies in range(n), so they make an n x n
+    matrix.
     """
 
-    __slots__ = ("sparse", "square", "_rows")
+    __slots__ = ("sparse", "square")
 
     def __init__(self, rows):
         rows = list(rows)
         n = len(rows)
-        square = True
         sparse = []
         for row in rows:
-            if isinstance(row, dict):
-                square = square and all(0 <= j < n for j in row)
-                entries = row.items()
-            else:
-                square = square and len(row) == n
-                entries = enumerate(row)
             out = {}
-            for j, x in entries:
-                x = as_scalar(x)
+            for j, x in row.items():
+                if type(x) is not Scalar:
+                    x = as_scalar(x)
                 if x:
                     out[j] = x
             sparse.append(out)
         self.sparse: tuple[dict[int, Scalar], ...] = tuple(sparse)
-        self.square = square
-        self._rows = None
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        if self._rows is None:
-            n = len(self.sparse)
-            # from lists, as in GroupSignature.compose_canonical
-            self._rows = tuple([tuple([row.get(j, ZERO) for j in range(n)]) for row in self.sparse])
-        return self._rows
+        self.square = all(0 <= j < n for row in rows for j in row)
 
     def __len__(self):
         return len(self.sparse)
-
-    def __getitem__(self, i):
-        return self.rows[i]
 
     def __eq__(self, other):
         if not isinstance(other, Gram):
@@ -402,17 +342,12 @@ class Gram:
         return f"<Gram {n}x{n}, {sum(map(len, self.sparse))} nonzero>"
 
 
-def as_gram(gram) -> Gram:
-    """A :class:`Gram` as it is; dense or sparse dict rows converted."""
-    return gram if isinstance(gram, Gram) else Gram(gram)
-
-
-def pairing(u, v, gram) -> Scalar:
+def pairing(u: dict[int, Scalar], v: dict[int, Scalar], gram: Gram) -> Scalar:
     """<u, v> against one Gram matrix (conjugate-linear in v)."""
-    rows = as_gram(gram).sparse
-    conj_v = [(j, x.conjugate()) for j, x in as_sparse(v).items()]
+    rows = gram.sparse
+    conj_v = [(j, x.conjugate()) for j, x in v.items()]
     acc = ZERO
-    for i, ui in as_sparse(u).items():
+    for i, ui in u.items():
         row = rows[i]
         part = ZERO
         for j, cj in conj_v:
@@ -424,23 +359,21 @@ def pairing(u, v, gram) -> Scalar:
     return acc
 
 
-def pairing_vanishes(a: Subspace, b: Subspace, gram) -> bool:
+def pairing_vanishes(a: Subspace, b: Subspace, gram: Gram) -> bool:
     """True iff <u, v> = 0 for every u in ``a`` and v in ``b``.
 
     <u, v> is a sum of terms u_i G[i][j] conj(v_j), so it can be nonzero
     only when a Gram row i in the support of ``a`` has an entry j in the
     support of ``b``; when none does, no pairing is evaluated.
     """
-    gram = as_gram(gram)
     supp_b = b.support()
     if all(supp_b.isdisjoint(gram.sparse[i]) for i in a.support()):
         return True
     return not any(pairing(u, v, gram) for u in a.sparse.values() for v in b.sparse.values())
 
 
-def is_hermitian(gram) -> bool:
+def is_hermitian(gram: Gram) -> bool:
     """Square, with the conjugate of every nonzero (i, j) entry at (j, i)."""
-    gram = as_gram(gram)
     if not gram.square:
         return False
     rows = gram.sparse
@@ -491,7 +424,7 @@ class EchelonBasis:
 
     def residual(self, vec) -> dict[int, Scalar]:
         """Sparse residual of ``vec`` against the rows; empty iff contained."""
-        return _reduce(self.rows, as_sparse(vec, self.ambient))
+        return _reduce(self.rows, vec)
 
     def contains(self, vec) -> bool:
         return not self.residual(vec)
@@ -526,27 +459,17 @@ class EchelonBasis:
 class Subspace:
     """A linear subspace held by its canonical reduced-echelon basis.
 
-    ``sparse`` maps each pivot, in ascending order, to its sparse row; the
-    kernel computes with these.  ``pivots`` lists the pivot columns and
-    ``rows`` the same rows as dense tuples, built on first use: the
-    canonical form that reports use.  Equal subspaces have equal pivots,
+    ``sparse`` maps each pivot, in ascending order, to its sparse row, and
+    ``pivots`` lists the pivot columns.  Equal subspaces have equal pivots,
     so the pivots alone serve as the hash.
     """
 
-    __slots__ = ("ambient", "sparse", "pivots", "_rows")
+    __slots__ = ("ambient", "sparse", "pivots")
 
     def __init__(self, ambient: int, sparse: dict[int, dict[int, Scalar]]):
         self.ambient = ambient
         self.sparse = {p: sparse[p] for p in sorted(sparse)}
         self.pivots = tuple(self.sparse)
-        self._rows = None
-
-    @property
-    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
-        if self._rows is None:
-            # from a list, as in GroupSignature.compose_canonical
-            self._rows = tuple([tuple(as_dense(r, self.ambient)) for r in self.sparse.values()])
-        return self._rows
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -567,7 +490,7 @@ class Subspace:
         return {j for row in self.sparse.values() for j in row}
 
     def contains(self, vec) -> bool:
-        return not _reduce(self.sparse, as_sparse(vec, self.ambient))
+        return not _reduce(self.sparse, vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
@@ -581,26 +504,9 @@ class Subspace:
         eb.extend(other.sparse.values())
         return eb.to_subspace()
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: row-reduce rows (a | a) and (b | 0); rows whose left
-        half vanished have right halves spanning the intersection."""
-        if other.ambient != self.ambient:
-            raise MalformedInputError("ambient dimensions differ")
-        n = self.ambient
-        eb = EchelonBasis(2 * n)
-        for a in self.sparse.values():
-            eb.add({**a, **{j + n: x for j, x in a.items()}})
-        eb.extend(other.sparse.values())
-        out = EchelonBasis(n)
-        for p, row in eb.rows.items():
-            if p >= n:
-                out.add({j - n: x for j, x in row.items()})
-        return out.to_subspace()
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        # equal sparse rows are equal dense rows
         return self.ambient == other.ambient and self.sparse == other.sparse
 
     def __hash__(self):
@@ -627,11 +533,9 @@ def full_space(ambient: int) -> Subspace:
 
 
 def nullspace(matrix, ncols: int) -> Subspace:
-    """Exact right kernel {v : M v = 0} of a matrix given as a list of rows."""
+    """Exact right kernel {v : M v = 0} of a matrix given by its sparse rows."""
     eb = EchelonBasis(ncols)
     for row in matrix:
-        if not isinstance(row, dict) and len(row) != ncols:
-            raise MalformedInputError("matrix rows have inconsistent length")
         if eb.dim == ncols:
             break
         eb.add(row)
@@ -648,7 +552,7 @@ def nullspace(matrix, ncols: int) -> Subspace:
     return span(kernel, ncols)
 
 
-def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams) -> Subspace:
+def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams: list[Gram]) -> Subspace:
     """Vectors of ``outer`` orthogonal to all of ``inner`` under every Gram.
 
     Returns {x in outer : <x, s>_a = 0 for all s in inner and all a}.
@@ -659,7 +563,6 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams) -> Subs
         raise MalformedInputError("ambient dimensions differ")
     if not outer.contains_subspace(inner):
         raise PreconditionError("inner subspace is not contained in the outer one")
-    grams = [as_gram(gram) for gram in grams]
     for a, gram in enumerate(grams):
         if len(gram) != n or not is_hermitian(gram):
             raise MalformedInputError(f"Gram {a} is not a Hermitian {n}x{n} matrix")
@@ -698,9 +601,9 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams) -> Subs
     return eb.to_subspace()
 
 
-def psd_counterexample(gram):
-    """A vector x with <x, x> < 0 if the Hermitian form is not positive
-    semidefinite, else None.
+def psd_counterexample(gram: Gram) -> dict[int, Scalar] | None:
+    """A sparse vector x with <x, x> < 0 if the Hermitian form is not
+    positive semidefinite, else None.
 
     Decided exactly by symmetric elimination with diagonal pivoting.  A
     congruence transform is tracked so the returned witness is expressed in
@@ -708,7 +611,6 @@ def psd_counterexample(gram):
     surviving off-diagonal entry c yields the explicit witness
     -conj(c) * w_j + w_k of value -2|c|^2.
     """
-    gram = as_gram(gram)
     if not is_hermitian(gram):
         raise MalformedInputError("Gram matrix is not Hermitian")
     n = len(gram)
@@ -728,11 +630,11 @@ def psd_counterexample(gram):
                     k = min(ks)
                     w = dict(track[k])
                     add_scaled(w, -g[j][k].conjugate(), track[j].items())
-                    return as_dense(w, n)
+                    return w
             return None
         d = g[pivot][pivot]
         if d.re < 0:
-            return as_dense(track[pivot], n)
+            return track[pivot]
         alive.remove(pivot)
         live.remove(pivot)
         gp = [(k, x) for k, x in g[pivot].items() if k in live]
@@ -744,6 +646,6 @@ def psd_counterexample(gram):
     return None
 
 
-def psd_check(gram) -> bool:
+def psd_check(gram: Gram) -> bool:
     """True iff the Hermitian form is positive semidefinite (exact)."""
     return psd_counterexample(gram) is None

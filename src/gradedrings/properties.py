@@ -29,12 +29,12 @@ whole ring.  Otherwise it reports None (inconclusive) rather than guess.
 from __future__ import annotations
 
 import random
-from collections.abc import Collection
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
-from fractions import Fraction
+from types import MappingProxyType
 
 from .connections import _symmetrized, connection_classes, is_symmetric_support
-from .decomposition import identity_products_span, inverse_products, is_graded_ideal
+from .decomposition import identity_spanned_by_products, inverse_products, is_graded_ideal
 from .errors import PreconditionError
 from .groups import Element
 from .linalg import (
@@ -47,8 +47,6 @@ from .linalg import (
     nullspace,
     pairing,
     pairing_vanishes,
-    unit_vector,
-    zero_vector,
 )
 from .ring import GradedRing, derived
 
@@ -138,7 +136,7 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
       support meets the other (:func:`~gradedrings.linalg.pairing_vanishes`).
     """
     sup = ring.sorted_support()
-    span_ok = identity_products_span(ring) == ring.identity_component()
+    span_ok = identity_spanned_by_products(ring)
 
     spans: list[Subspace] = []  # the distinct P_g
     span_of: dict[Element, int] = {}
@@ -173,7 +171,7 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
 
 
 def ideal_closure(
-    ring: GradedRing, v, *, generators: Collection[int] = frozenset()
+    ring: GradedRing, v: dict[int, Scalar], *, generators: Collection[int] = frozenset()
 ) -> Subspace:
     """Smallest graded ideal containing the vector.
 
@@ -189,8 +187,6 @@ def ideal_closure(
     j in ``generators``, proves the closure is the whole ring.
     """
     n = ring.dim
-    if not isinstance(v, dict) and len(v) != n:
-        raise PreconditionError("vector length does not match the ring dimension")
 
     def generates(w) -> bool:
         return len(w) == 1 and next(iter(w)) in generators
@@ -213,16 +209,17 @@ def ideal_closure(
     return basis.to_subspace()
 
 
-def theorem_hypotheses(ring: GradedRing) -> dict[str, bool]:
+@derived
+def theorem_hypotheses(ring: GradedRing) -> Mapping[str, bool]:
     """The hypotheses the simplicity characterization requires."""
-    return {
+    return MappingProxyType({
         "support_multiplicative": is_support_multiplicative(ring)[0],
         "maximal_length": is_maximal_length(ring),
         "zero_annihilator": annihilator(ring).is_zero(),
         "symmetric_support": is_symmetric_support(ring)[0],
         "nonempty_support": bool(ring.support()),
         "nonzero_product": bool(ring.structure),
-    }
+    })
 
 
 def graded_simple_theorem(ring: GradedRing):
@@ -234,9 +231,7 @@ def graded_simple_theorem(ring: GradedRing):
     hyps = theorem_hypotheses(ring)
     if not all(hyps.values()):
         return None
-    connected_support = connection_classes(ring).count == 1
-    span_ok = identity_products_span(ring) == ring.identity_component()
-    return connected_support and span_ok
+    return connection_classes(ring).count == 1 and identity_spanned_by_products(ring)
 
 
 @dataclass
@@ -244,7 +239,7 @@ class OracleResult:
     """Outcome of the brute-force simplicity search."""
 
     verdict: bool | None  # None means inconclusive
-    witness: list[Scalar] | None = None
+    witness: dict[int, Scalar] | None = None
     closures_tested: int = 0
     reason: str = ""
 
@@ -269,7 +264,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
         if closure.dim != n:
             return OracleResult(
                 False,
-                unit_vector(n, i),
+                {i: ONE},
                 tested,
                 f"closure of basis vector {i} is a proper nonzero graded ideal",
             )
@@ -278,10 +273,9 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
     if one_indices and sample_count > 0:
         rng = random.Random(seed)
         for _ in range(sample_count):
-            v = zero_vector(n)
-            while not any(v):
-                for i in one_indices:
-                    v[i] = Scalar(Fraction(rng.randint(-9, 9)))
+            v = {}
+            while not v:
+                v = {i: x for i in one_indices if (x := Scalar(rng.randint(-9, 9)))}
             closure = ideal_closure(ring, v, generators=generators)
             tested += 1
             if closure.dim != n:
@@ -292,7 +286,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
         return OracleResult(True, None, tested, "every homogeneous line was tested")
     if (
         is_maximal_length(ring)
-        and identity_products_span(ring) == ring.identity_component()
+        and identity_spanned_by_products(ring)
         and annihilator(ring).is_zero()
     ):
         return OracleResult(
@@ -370,7 +364,7 @@ class PropertyReport:
     symmetry_witness: Element | None
     coherent: bool
     coherence: CoherenceReport
-    hypotheses: dict[str, bool]
+    hypotheses: Mapping[str, bool]
     simple_by_theorem: bool | None
     simple_by_oracle: bool | None
     oracle: OracleResult

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from .connections import ConnectionClasses
 from .decomposition import IdealDecomposition
+from .linalg import dense_strings
 from .properties import PropertyReport
 from .ring import GradedRing, ViolationReport
-from .specfile import dense_strings, dumps_json
+from .specfile import dumps_json
 
 
 def _element(e) -> list[int]:
@@ -25,7 +26,7 @@ def _element(e) -> list[int]:
 
 def _basis(sub) -> list[list[str]]:
     """The dense rows of a subspace's canonical basis, as strings."""
-    return dense_strings(sub.sparse.values(), sub.ambient)
+    return [dense_strings(row, sub.ambient) for row in sub.sparse.values()]
 
 
 def _subspace(sub) -> dict:
@@ -129,7 +130,8 @@ def properties_section(props: PropertyReport) -> dict:
             "reason": props.oracle.reason,
             "witness": None
             if props.oracle.witness is None
-            else [str(x) for x in props.oracle.witness],
+            # the annihilator's ambient dimension is the ring's
+            else dense_strings(props.oracle.witness, props.annihilator.ambient),
         },
     }
 

@@ -15,6 +15,10 @@ supposed to satisfy and reports every failure with a concrete witness:
 
 The constructor is deliberately permissive so that defective rings can be
 constructed and then *reported* on; it never decides mathematics itself.
+
+Vectors are sparse dicts ``{index: nonzero Scalar}``: the products take
+and return them, and violation details write a witness densely only as
+text (:func:`~gradedrings.linalg.dense_strings`).
 """
 
 from __future__ import annotations
@@ -29,14 +33,13 @@ from .groups import Element, GroupSignature
 from .linalg import (
     ONE,
     EchelonBasis,
+    Gram,
     Scalar,
     Subspace,
     add_scaled,
-    as_gram,
     as_scalar,
-    as_sparse,
     coordinate_subspace,
-    in_form_of,
+    dense_strings,
     is_hermitian,
     nullspace,
     psd_counterexample,
@@ -114,10 +117,9 @@ class GradedRing:
         Sparse structure constants: e_i e_j = sum_k c_k e_k.  Zero products
         may simply be omitted; repeated (i, j, k) terms are summed.
     grams : sequence of Gram matrices (at least one).
-        Each is a :class:`~gradedrings.linalg.Gram`, dense rows of scalars
-        or sparse ``{j: scalar}`` rows, and is kept as a ``Gram`` built once
-        here: ``ring.grams[a][i][j]`` reads entries and every check visits
-        only the nonzero ones.
+        Each is a :class:`~gradedrings.linalg.Gram` or a list of sparse
+        ``{j: scalar}`` rows, kept as a ``Gram``: ``ring.grams[a].sparse[i]``
+        holds row i, and every check visits only its nonzero entries.
     labels : optional sequence of basis labels.
     """
 
@@ -145,7 +147,7 @@ class GradedRing:
         self.structure = MappingProxyType(
             {key: tuple(sorted(row.items())) for key, row in terms.items() if row}
         )
-        self.grams = tuple(as_gram(gram) for gram in grams)
+        self.grams = tuple([g if isinstance(g, Gram) else Gram(g) for g in grams])
         # index maps used all over the analyses
         self._by_degree: dict[Element, tuple[int, ...]] = {}
         for i, d in enumerate(self.degrees):
@@ -167,9 +169,6 @@ class GradedRing:
 
     def identity_degree(self) -> Element:
         return self.signature.identity()
-
-    def basis_product(self, i: int, j: int):
-        return self.structure.get((i, j), ())
 
     def attained_degrees(self) -> list[Element]:
         return sorted(self._by_degree)
@@ -219,62 +218,56 @@ class GradedRing:
     def identity_component(self) -> Subspace:
         return self.component(self.identity_degree())
 
-    def homogeneous_parts(self, v) -> list[tuple[Element, dict[int, Scalar]]]:
-        """The nonzero homogeneous pieces of v as (degree, sparse vector)
-        pairs in ascending degree order."""
+    def homogeneous_parts(self, v: dict[int, Scalar]) -> list[tuple[Element, dict[int, Scalar]]]:
+        """The nonzero homogeneous pieces of v as (degree, vector) pairs in
+        ascending degree order."""
         parts: dict[Element, dict[int, Scalar]] = {}
-        for i, x in as_sparse(v, self.dim).items():
+        for i, x in v.items():
             parts.setdefault(self.degrees[i], {})[i] = x
         return sorted(parts.items())
 
     # -- products ----------------------------------------------------------
-    #
-    # Vectors are dense sequences or sparse dicts; each product answers in
-    # the form of its vector argument (of ``u`` for ``multiply``).
 
-    def multiply(self, u, v):
+    def multiply(self, u: dict[int, Scalar], v: dict[int, Scalar]) -> dict[int, Scalar]:
         """Bilinear extension of the structure constants."""
-        n = self.dim
-        su, sv = as_sparse(u, n), as_sparse(v, n)
         out: dict[int, Scalar] = {}
-        for i, ui in su.items():
+        for i, ui in u.items():
             for j in self._left_keys.get(i, ()):
-                vj = sv.get(j)
+                vj = v.get(j)
                 if vj is not None:
                     add_scaled(out, ui * vj, self.structure[(i, j)])
-        return in_form_of(u, out, n)
+        return out
 
-    def multiply_basis_right(self, u, j: int):
+    def multiply_basis_right(self, u: dict[int, Scalar], j: int) -> dict[int, Scalar]:
         """u * e_j without materializing e_j."""
         out: dict[int, Scalar] = {}
-        for i, ui in as_sparse(u, self.dim).items():
+        for i, ui in u.items():
             entries = self.structure.get((i, j))
             if entries:
                 add_scaled(out, ui, entries)
-        return in_form_of(u, out, self.dim)
+        return out
 
-    def multiply_basis_left(self, i: int, u):
+    def multiply_basis_left(self, i: int, u: dict[int, Scalar]) -> dict[int, Scalar]:
         """e_i * u without materializing e_i."""
         out: dict[int, Scalar] = {}
-        for j, uj in as_sparse(u, self.dim).items():
+        for j, uj in u.items():
             entries = self.structure.get((i, j))
             if entries:
                 add_scaled(out, uj, entries)
-        return in_form_of(u, out, self.dim)
+        return out
 
     def right_reach(self, indices) -> set[int]:
         """The j with (i, j) a structure key for some i in ``indices``: the
         only e_j with u e_j possibly nonzero for u supported in ``indices``."""
         return {j for i in indices for j in self._left_keys.get(i, ())}
 
-    def basis_multiples(self, u):
+    def basis_multiples(self, u: dict[int, Scalar]):
         """The nonzero u e_j and e_j u, j ascending, u e_j first.  u e_j is
         the sum of u_i e_i e_j over i in supp u, so only the e_j of the
         right reach are tried, and e_j u only when some (j, m) with m in
         supp u is a structure key."""
-        su = as_sparse(u, self.dim)
-        right = self.right_reach(su)
-        left = {i for m in su for i in self._right_keys.get(m, ())}
+        right = self.right_reach(u)
+        left = {i for m in u for i in self._right_keys.get(m, ())}
         for j in sorted(right | left):
             if j in right and (w := self.multiply_basis_right(u, j)):
                 yield w
@@ -407,7 +400,7 @@ class GradedRing:
                     "psd",
                     (a,),
                     f"Gram {a} is not positive semidefinite; witness "
-                    f"[{', '.join(str(x) for x in witness)}] has negative square",
+                    f"[{', '.join(dense_strings(witness, self.dim))}] has negative square",
                 )
 
     def _check_hausdorff(self, report: ViolationReport) -> None:
@@ -418,12 +411,12 @@ class GradedRing:
                 add_scaled(total[i], ONE, row.items())
         kernel = nullspace(total, n)
         if not kernel.is_zero():
-            witness = kernel.rows[0]
+            witness = next(iter(kernel.sparse.values()))
             report.add(
                 "hausdorff",
                 (),
                 "the Gram family does not separate points; "
-                f"[{', '.join(str(x) for x in witness)}] is in the joint kernel",
+                f"[{', '.join(dense_strings(witness, n))}] is in the joint kernel",
             )
 
     def validate(self) -> ViolationReport:

@@ -19,7 +19,9 @@ A Gram is either a dense matrix (list of rows of scalar strings) or
 {"sparse": [{"i": int, "j": int, "scalar": str}, ...]} with omitted entries
 zero.  Indices are 0-based.  A load parses each distinct scalar string
 once and shares the resulting (immutable) scalar wherever the string
-recurs; dense Gram rows are read straight into their nonzero entries.
+recurs.  In memory every Gram is sparse rows: dense Gram rows are read
+straight into their nonzero entries and written back by
+:func:`~gradedrings.linalg.dense_strings`.
 
 Serialization is deterministic: structure triples are sorted, scalars are
 written canonically, and keys are emitted in sorted order, so equal rings
@@ -35,26 +37,13 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import MalformedInputError, SpecFileError
 from .groups import GroupSignature
-from .linalg import Scalar, ZERO
+from .linalg import ZERO, Scalar, dense_strings
 from .ring import GradedRing
 
 FORMAT_VERSION = 1
 
 # grams up to this dimension are written densely, larger ones sparsely
 _DENSE_GRAM_LIMIT = 16
-
-
-def dense_strings(rows, n: int) -> list[list[str]]:
-    """Sparse rows ``{j: nonzero Scalar}`` as dense rows of ``n`` scalar
-    strings: each row starts as ``"0"``s and only its entries are
-    formatted, since a zero prints as ``"0"``."""
-    out = []
-    for row in rows:
-        strings = ["0"] * n
-        for j, x in row.items():
-            strings[j] = str(x)
-        out.append(strings)
-    return out
 
 
 def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
@@ -67,7 +56,7 @@ def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     for gram in ring.grams:
         n = len(gram)
         if n <= _DENSE_GRAM_LIMIT:
-            grams.append(dense_strings(gram.sparse, n))
+            grams.append([dense_strings(row, n) for row in gram.sparse])
         else:
             entries = [
                 {"i": i, "j": j, "scalar": str(row[j])}

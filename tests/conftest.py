@@ -7,7 +7,7 @@ from gradedrings import (
     banded_ring,
     group_algebra,
 )
-from gradedrings.linalg import ONE, ZERO
+from gradedrings.linalg import ONE, ZERO, as_scalar
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,27 @@ def cyclic3():
 
 
 def identity_gram(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    return [{i: ONE} for i in range(n)]
+
+
+def sparse(values):
+    """A vector written densely, as its ``{index: nonzero Scalar}`` dict."""
+    out = {}
+    for j, x in enumerate(values):
+        x = as_scalar(x)
+        if x:
+            out[j] = x
+    return out
+
+
+def densify(vec, n):
+    """A sparse vector as a dense list of n scalars, for reference comparisons."""
+    return [vec.get(j, ZERO) for j in range(n)]
+
+
+def dense_rows(sub):
+    """A subspace's canonical basis as dense rows, for reference comparisons."""
+    return tuple(tuple(densify(row, sub.ambient)) for row in sub.sparse.values())
 
 
 def trivially_graded_zero_ring(dim):
@@ -68,19 +88,19 @@ def associativity_defect_ring():
 def orthogonality_defect_ring():
     # mixed degrees with a Gram pairing them; second Gram restores separation
     sig = GroupSignature(1)
-    bad = [[ONE, ONE], [ONE, ONE]]
+    bad = [{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]
     return GradedRing(sig, [(0,), (1,)], {}, [bad, identity_gram(2)], ["u", "w"])
 
 
 def psd_defect_ring():
     sig = GroupSignature(0, ())
-    bad = [["1", "2"], ["2", "1"]]
+    bad = [{0: "1", 1: "2"}, {0: "2", 1: "1"}]
     return GradedRing(sig, [(), ()], {}, [bad], ["u", "v"])
 
 
 def hausdorff_defect_ring():
     sig = GroupSignature(0, ())
-    degenerate = [[ONE, ONE], [ONE, ONE]]  # psd of rank 1, kernel (1,-1)
+    degenerate = [{0: ONE, 1: ONE}, {0: ONE, 1: ONE}]  # psd of rank 1, kernel (1,-1)
     return GradedRing(sig, [(), ()], {}, [degenerate], ["u", "v"])
 
 

@@ -143,17 +143,17 @@ def test_criterion_4_ideals_subrings_annihilation(fleet):
         for ideal in ideals:
             assert is_graded_ideal(ring, ideal)
             inside = ideal.basis()
-            for u in ideal.rows:
-                for v in ideal.rows:
+            for u in ideal.sparse.values():
+                for v in ideal.sparse.values():
                     assert inside.contains(ring.multiply(u, v))
             ideals_checked += 1
         for a in range(len(ideals)):
             for b in range(len(ideals)):
                 if a == b:
                     continue
-                for u in ideals[a].rows:
-                    for v in ideals[b].rows:
-                        assert not any(ring.multiply(u, v))
+                for u in ideals[a].sparse.values():
+                    for v in ideals[b].sparse.values():
+                        assert not ring.multiply(u, v)
     print(f"\nACCEPTANCE 4 (graded ideals and cross annihilation, "
           f"{ideals_checked} ideals): PASS")
 

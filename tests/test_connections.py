@@ -191,7 +191,7 @@ def _permuted_copy(ring, rng):
     for (i, j), entries in ring.structure.items():
         structure[(inv[i], inv[j])] = [(inv[k], c) for k, c in entries]
     grams = [
-        [[gram[perm[a]][perm[b]] for b in range(n)] for a in range(n)]
+        [{inv[j]: x for j, x in gram.sparse[perm[a]].items()} for a in range(n)]
         for gram in ring.grams
     ]
     return GradedRing(ring.signature, degrees, structure, grams, labels)

@@ -12,9 +12,7 @@ from gradedrings import (
     Subspace,
     TheoremViolationError,
     banded_ring,
-    class_component_sum,
     class_ideal,
-    class_identity_span,
     connection_classes,
     decompose,
     direct_sum,
@@ -25,7 +23,6 @@ from gradedrings import (
     is_graded_ideal,
     random_ring,
     span,
-    unit_vector,
 )
 from gradedrings.linalg import ONE, ZERO, coordinate_subspace
 
@@ -41,19 +38,17 @@ def the_block(ring, which=0):
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_identity_span_is_the_diagonal(size):
     ring = banded_ring(BandedRingParams(size, 1))
-    block = the_block(ring)
-    one_span = class_identity_span(ring, block)
+    (one_span,) = decompose(ring).identity_spans
     assert one_span.dim == size
     diagonal = span(
-        [unit_vector(ring.dim, ring.labels.index(f"a(({n},1),({n},1))")) for n in range(1, size + 1)],
+        [{ring.labels.index(f"a(({n},1),({n},1))"): ONE} for n in range(1, size + 1)],
         ring.dim,
     )
     assert one_span == diagonal
 
 
 def test_identity_span_lands_in_identity_component(band3x2):
-    for block in connection_classes(band3x2).blocks:
-        one_span = class_identity_span(band3x2, block)
+    for one_span in decompose(band3x2).identity_spans:
         assert band3x2.identity_component().contains_subspace(one_span)
 
 
@@ -64,20 +59,18 @@ def test_identity_span_of_zero_products():
         sig, [(0,), (1,), (-1,)], {(0, 0): [(0, ONE)]}, [identity_gram(3)]
     )
     assert ring.validate().ok
-    block = the_block(ring)
-    assert class_identity_span(ring, block).dim == 0
+    assert [s.dim for s in decompose(ring).identity_spans] == [0]
 
 
 @pytest.mark.parametrize("size", [2, 3, 4])
 def test_component_sum_is_the_off_diagonal(size):
     ring = banded_ring(BandedRingParams(size, 1))
-    comp = class_component_sum(ring, the_block(ring))
+    (comp,) = decompose(ring).component_sums
     assert comp.dim == size * (size - 1)
 
 
 def test_component_sums_partition_the_support_dimensions(band3x2):
-    blocks = connection_classes(band3x2).blocks
-    total = sum(class_component_sum(band3x2, b).dim for b in blocks)
+    total = sum(c.dim for c in decompose(band3x2).component_sums)
     expected = sum(band3x2.component(g).dim for g in band3x2.support())
     assert total == expected
 
@@ -101,9 +94,9 @@ def test_cross_class_products_vanish(band3x2):
         for b in range(len(ideals)):
             if a == b:
                 continue
-            for u in ideals[a].rows:
-                for v in ideals[b].rows:
-                    assert not any(band3x2.multiply(u, v))
+            for u in ideals[a].sparse.values():
+                for v in ideals[b].sparse.values():
+                    assert not band3x2.multiply(u, v)
 
 
 def test_class_functions_reject_non_blocks(band3x2):
@@ -115,10 +108,9 @@ def test_class_functions_reject_non_blocks(band3x2):
         (outside,),
         the_block(band3x2) + (outside,),
     ]
-    for fn in (class_identity_span, class_component_sum, class_ideal):
-        for not_a_block in not_blocks:
-            with pytest.raises(PreconditionError):
-                fn(band3x2, not_a_block)
+    for not_a_block in not_blocks:
+        with pytest.raises(PreconditionError):
+            class_ideal(band3x2, not_a_block)
 
 
 # -- is_graded_ideal -------------------------------------------------------------
@@ -130,7 +122,7 @@ def test_whole_space_and_zero_are_graded_ideals(band2):
 
 def test_single_offdiagonal_unit_is_not_an_ideal(band2):
     a12 = band2.labels.index("a((1,1),(2,1))")
-    line = span([unit_vector(band2.dim, a12)], band2.dim)
+    line = span([{a12: ONE}], band2.dim)
     assert not is_graded_ideal(band2, line)
 
 
@@ -138,10 +130,7 @@ def test_non_graded_subspace_is_rejected(band2):
     # a11 + a12 mixes two degrees and its projections leave the line
     a11 = band2.labels.index("a((1,1),(1,1))")
     a12 = band2.labels.index("a((1,1),(2,1))")
-    v = [ZERO] * band2.dim
-    v[a11] = ONE
-    v[a12] = ONE
-    line = span([v], band2.dim)
+    line = span([{a11: ONE, a12: ONE}], band2.dim)
     assert not is_graded_ideal(band2, line)
 
 
@@ -152,8 +141,8 @@ def test_every_class_ideal_is_a_graded_subring():
             ideal = class_ideal(ring, block)
             assert is_graded_ideal(ring, ideal)
             eb = ideal.basis()
-            for u in ideal.rows:
-                for v in ideal.rows:
+            for u in ideal.sparse.values():
+                for v in ideal.sparse.values():
                     assert eb.contains(ring.multiply(u, v))
 
 
@@ -179,7 +168,7 @@ def test_extra_annihilating_line_becomes_the_complement(band2):
     sstar = identity_products_span(ring)
     assert exact
     assert u.dim == ring.identity_component().dim - sstar.dim == 1
-    assert u == span([unit_vector(ring.dim, ring.dim - 1)], ring.dim)
+    assert u == span([{ring.dim - 1: ONE}], ring.dim)
 
 
 def inexact_complement_ring():
@@ -196,18 +185,8 @@ def inexact_complement_ring():
     degrees = [(0,), (0,), (1,), (-1,)]  # u, z, w, w'
     structure = {(2, 3): [(0, ONE)], (3, 2): [(0, ONE)]}
     two, four = ZERO + 2, ZERO + 4
-    g1 = [
-        [ONE, two, ZERO, ZERO],
-        [two, four, ZERO, ZERO],
-        [ZERO, ZERO, ONE, ZERO],
-        [ZERO, ZERO, ZERO, ONE],
-    ]
-    g2 = [
-        [four, two, ZERO, ZERO],
-        [two, ONE, ZERO, ZERO],
-        [ZERO, ZERO, ONE, ZERO],
-        [ZERO, ZERO, ZERO, ONE],
-    ]
+    g1 = [{0: ONE, 1: two}, {0: two, 1: four}, {2: ONE}, {3: ONE}]
+    g2 = [{0: four, 1: two}, {0: two, 1: ONE}, {2: ONE}, {3: ONE}]
     return GradedRing(sig, degrees, structure, [g1, g2], ["u", "z", "w", "w'"])
 
 
@@ -254,8 +233,8 @@ def test_decompose_direct_sum_of_disjoint_bands(band2):
     assert dec.classes.count == 2
     assert [ideal.dim for ideal in dec.ideals] == [4, 4]
     # each ideal is one summand's coordinate block
-    first_block = span([unit_vector(8, i) for i in range(4)], 8)
-    second_block = span([unit_vector(8, i) for i in range(4, 8)], 8)
+    first_block = span([{i: ONE} for i in range(4)], 8)
+    second_block = span([{i: ONE} for i in range(4, 8)], 8)
     assert set(dec.ideals) == {first_block, second_block}
 
 
@@ -266,7 +245,7 @@ def test_decompose_covering_on_random_instances():
         assert dec.covers and dec.pairwise_zero
         total = dec.complement.basis()
         for ideal in dec.ideals:
-            total.extend(ideal.rows)
+            total.extend(ideal.sparse.values())
         assert total.dim == ring.dim
 
 

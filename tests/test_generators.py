@@ -74,7 +74,7 @@ def test_banded_rejects_bad_parameters():
 def test_banded_weights_become_scaled_grams():
     ring = banded_ring(BandedRingParams(2, 1, weights=(Fraction(1), Fraction(3, 2))))
     assert len(ring.grams) == 2
-    assert ring.grams[1][0][0].re == Fraction(3, 2)
+    assert ring.grams[1].sparse[0][0].re == Fraction(3, 2)
     assert ring.validate().ok
 
 
@@ -152,8 +152,8 @@ def test_direct_sum_shared_embedding_rejects_collisions(band2):
 
 def test_direct_sum_shared_embedding_with_disjoint_degrees():
     # same signature, nonoverlapping nonidentity degrees
-    a = GradedRing(GroupSignature(1), [(1,)], {}, [[["1"]]])
-    b = GradedRing(GroupSignature(1), [(2,)], {}, [[["1"]]])
+    a = GradedRing(GroupSignature(1), [(1,)], {}, [[{0: "1"}]])
+    b = GradedRing(GroupSignature(1), [(2,)], {}, [[{0: "1"}]])
     ring = direct_sum(a, b, embedding="shared")
     assert ring.validate().ok
     assert ring.signature == GroupSignature(1)

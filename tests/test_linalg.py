@@ -19,19 +19,18 @@ from gradedrings import (
     psd_check,
     psd_counterexample,
     span,
-    unit_vector,
-    vector,
 )
 from gradedrings.linalg import (
     ONE,
     ZERO,
     Gram,
     add_scaled,
-    as_dense,
     as_scalar,
-    as_sparse,
+    dense_strings,
     is_hermitian,
 )
+
+from conftest import dense_rows, densify, sparse
 
 
 # -- scalars ---------------------------------------------------------------
@@ -97,9 +96,10 @@ def test_scalar_canonical_strings():
 # -- spans and membership ----------------------------------------------------
 
 def test_span_collinear_vectors():
-    s = span([vector([1, 0]), vector([2, 0])], 2)
+    s = span([sparse([1, 0]), sparse([2, 0])], 2)
     assert s.dim == 1
-    assert s.rows == ((ONE, ZERO),)
+    assert s.sparse == {0: {0: ONE}}
+    assert dense_rows(s) == ((ONE, ZERO),)
 
 
 def test_span_empty_is_zero():
@@ -108,47 +108,36 @@ def test_span_empty_is_zero():
 
 
 def test_span_independent_vectors_fill():
-    s = span([vector([1, 1]), vector([1, -1])], 2)
+    s = span([sparse([1, 1]), sparse([1, -1])], 2)
     assert s == full_space(2)
 
 
 def test_contains():
-    s = span([vector([1, 0])], 2)
-    assert s.contains(vector([5, 0]))
-    assert not s.contains(vector([0, 1]))
-    assert s.contains(vector([0, 0]))
+    s = span([{0: ONE}], 2)
+    assert s.contains({0: Scalar(5)})
+    assert not s.contains({1: ONE})
+    assert s.contains({})
 
 
-def test_sum_and_intersection_lattice():
-    e1 = span([unit_vector(2, 0)], 2)
-    e2 = span([unit_vector(2, 1)], 2)
+def test_sum_of_subspaces():
+    e1 = span([{0: ONE}], 2)
+    e2 = span([{1: ONE}], 2)
     assert e1.sum(e2) == full_space(2)
-    assert e1.intersect(e2).dim == 0
-    s = span([vector([1, 2, 3]), vector([0, 1, 1])], 3)
-    assert s.intersect(s) == s
+    s = span([sparse([1, 2, 3]), sparse([0, 1, 1])], 3)
+    assert s.sum(s) == s
+    assert s.sum(Subspace.zero(3)) == s and s.contains_subspace(s)
 
 
 def test_canonical_representation_is_unique():
-    a = span([vector([1, 2]), vector([3, 4])], 2)
-    b = span([vector([5, 6]), vector([7, 8])], 2)
+    a = span([sparse([1, 2]), sparse([3, 4])], 2)
+    b = span([sparse([5, 6]), sparse([7, 8])], 2)
     assert a == b  # both are the full plane
-    assert a.rows == b.rows
+    assert a.sparse == b.sparse
 
 
 def _random_subspace(rng, ambient, rows):
-    vecs = [
-        vector([Fraction(rng.randint(-4, 4)) for _ in range(ambient)]) for _ in range(rows)
-    ]
+    vecs = [sparse([rng.randint(-4, 4) for _ in range(ambient)]) for _ in range(rows)]
     return span(vecs, ambient)
-
-
-def test_grassmann_identity_on_random_instances():
-    rng = random.Random(7)
-    for _ in range(60):
-        ambient = rng.randint(1, 5)
-        s = _random_subspace(rng, ambient, rng.randint(0, ambient))
-        t = _random_subspace(rng, ambient, rng.randint(0, ambient))
-        assert s.dim + t.dim == s.sum(t).dim + s.intersect(t).dim
 
 
 def test_span_is_idempotent_on_random_instances():
@@ -156,32 +145,32 @@ def test_span_is_idempotent_on_random_instances():
     for _ in range(40):
         ambient = rng.randint(1, 5)
         s = _random_subspace(rng, ambient, rng.randint(0, ambient + 1))
-        assert span(s.rows, ambient) == s
+        assert span(s.sparse.values(), ambient) == s
 
 
 # -- kernels -----------------------------------------------------------------
 
 def test_nullspace_identity():
-    m = [unit_vector(3, i) for i in range(3)]
+    m = [{i: ONE} for i in range(3)]
     assert nullspace(m, 3).dim == 0
 
 
 def test_nullspace_zero_matrix():
-    m = [vector([0, 0]), vector([0, 0])]
+    m = [{}, {}]
     assert nullspace(m, 2) == full_space(2)
 
 
 def test_nullspace_rank_one():
-    m = [vector([1, 1]), vector([2, 2])]
+    m = [sparse([1, 1]), sparse([2, 2])]
     k = nullspace(m, 2)
-    assert k == span([vector([1, -1])], 2)
+    assert k == span([sparse([1, -1])], 2)
 
 
 def test_rank_nullity_on_random_matrices():
     rng = random.Random(9)
     for _ in range(40):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        m = [vector([Fraction(rng.randint(-3, 3)) for _ in range(cols)]) for _ in range(rows)]
+        m = [sparse([rng.randint(-3, 3) for _ in range(cols)]) for _ in range(rows)]
         rank = span(m, cols).dim
         assert rank + nullspace(m, cols).dim == cols
 
@@ -189,10 +178,7 @@ def test_rank_nullity_on_random_matrices():
 # -- joint orthogonal complements --------------------------------------------
 
 def _diag(entries):
-    n = len(entries)
-    return [
-        [Scalar(entries[i]) if i == j else ZERO for j in range(n)] for i in range(n)
-    ]
+    return Gram([{i: Scalar(x)} for i, x in enumerate(entries)])
 
 
 def test_complement_of_zero_is_everything():
@@ -202,22 +188,22 @@ def test_complement_of_zero_is_everything():
 
 def test_complement_standard_inner_product():
     w = full_space(2)
-    s = span([unit_vector(2, 0)], 2)
-    assert joint_orthogonal_complement(s, w, [_diag([1, 1])]) == span([unit_vector(2, 1)], 2)
+    s = span([{0: ONE}], 2)
+    assert joint_orthogonal_complement(s, w, [_diag([1, 1])]) == span([{1: ONE}], 2)
 
 
 def test_complement_with_two_degenerate_grams():
     # grams diag(1,0) and diag(0,1) against span{e1+e2}: the two conditions
     # x1 = 0 and x2 = 0 (worked out by hand) leave only the zero vector
     w = full_space(2)
-    s = span([vector([1, 1])], 2)
+    s = span([sparse([1, 1])], 2)
     out = joint_orthogonal_complement(s, w, [_diag([1, 0]), _diag([0, 1])])
     assert out.dim == 0
 
 
 def test_complement_requires_containment():
-    w = span([unit_vector(2, 0)], 2)
-    s = span([unit_vector(2, 1)], 2)
+    w = span([{0: ONE}], 2)
+    s = span([{1: ONE}], 2)
     with pytest.raises(PreconditionError):
         joint_orthogonal_complement(s, w, [_diag([1, 1])])
 
@@ -229,11 +215,21 @@ def test_complement_disjoint_under_separating_family():
         w = full_space(ambient)
         s = _random_subspace(rng, ambient, rng.randint(0, ambient))
         u = joint_orthogonal_complement(s, w, [_diag([1] * ambient)])
-        assert u.intersect(s).dim == 0
+        assert u.dim + s.dim == u.sum(s).dim  # u and s meet only in zero
         assert u.sum(s) == w
 
 
 # -- positive semidefiniteness ------------------------------------------------
+
+def _gram(dense):
+    return Gram([sparse(row) for row in dense])
+
+
+def _assert_negative_witness(witness, gram):
+    assert isinstance(witness, dict) and all(witness.values())
+    value = pairing(witness, witness, gram)
+    assert not value.im and value.re < 0
+
 
 def test_psd_diag_semidefinite():
     assert psd_check(_diag([1, 0]))
@@ -241,42 +237,37 @@ def test_psd_diag_semidefinite():
 
 def test_psd_indefinite_matrix():
     # eigenvalues 3 and -1 by hand
-    m = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(1)]]
+    m = _gram([[1, 2], [2, 1]])
     assert not psd_check(m)
-    witness = psd_counterexample(m)
-    value = pairing(witness, witness, m)
-    assert value.is_real() and value.re < 0
+    _assert_negative_witness(psd_counterexample(m), m)
 
 
 def test_psd_positive_definite():
     # leading minors 2 and 3
-    m = [[Scalar(2), Scalar(1)], [Scalar(1), Scalar(2)]]
+    m = _gram([[2, 1], [1, 2]])
     assert psd_check(m)
 
 
 def test_psd_zero_diagonal_with_offdiagonal_entry():
-    m = [[ZERO, ONE], [ONE, ZERO]]
+    m = _gram([[0, 1], [1, 0]])
     witness = psd_counterexample(m)
     assert witness is not None
-    value = pairing(witness, witness, m)
-    assert value.is_real() and value.re < 0
+    _assert_negative_witness(witness, m)
 
 
 def test_psd_rejects_non_hermitian():
     with pytest.raises(MalformedInputError):
-        psd_check([[ONE, ONE], [ZERO, ONE]])
+        psd_check(_gram([[1, 1], [0, 1]]))
 
 
 def test_psd_hermitian_complex():
     i = Scalar(0, 1)
-    m = [[Scalar(2), i], [-i, Scalar(2)]]
+    m = _gram([[Scalar(2), i], [-i, Scalar(2)]])
     assert is_hermitian(m)
     assert psd_check(m)  # eigenvalues 1 and 3
-    m = [[Scalar(1), Scalar(0, 2)], [Scalar(0, -2), Scalar(1)]]
+    m = _gram([[Scalar(1), Scalar(0, 2)], [Scalar(0, -2), Scalar(1)]])
     assert not psd_check(m)  # eigenvalues -1 and 3
-    witness = psd_counterexample(m)
-    value = pairing(witness, witness, m)
-    assert value.is_real() and value.re < 0
+    _assert_negative_witness(psd_counterexample(m), m)
 
 
 def test_psd_random_gram_matrices_are_psd():
@@ -286,13 +277,13 @@ def test_psd_random_gram_matrices_are_psd():
         n = rng.randint(1, 4)
         rows = rng.randint(0, 4)
         b = [[Scalar(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(n)] for _ in range(rows)]
-        gram = [
+        gram = _gram([
             [
                 sum((b[r][i] * b[r][j].conjugate() for r in range(rows)), ZERO)
                 for j in range(n)
             ]
             for i in range(n)
-        ]
+        ])
         assert is_hermitian(gram)
         assert psd_check(gram)
 
@@ -424,7 +415,7 @@ def test_equal_scalars_reached_by_different_paths_are_equal():
     for s in twos:
         assert s == twos[0] and s == 2 and s == Fraction(2)
         assert hash(s) == hash(twos[0])
-        assert str(s) == "2" and s.is_real()
+        assert str(s) == "2" and not s.im
         assert type(s.re) is Fraction and type(s.im) is Fraction
     assert len(set(twos)) == 1
 
@@ -481,7 +472,8 @@ def test_exact_arithmetic_builds_few_fractions(monkeypatch):
 # The kernel keeps sparse rows and reduces only at pivots in a vector's
 # support.  The reference below is the textbook dense algorithm: reduce
 # against every row in pivot order, normalize the leading entry, clear its
-# column from every other row.
+# column from every other row.  The library is given the sparse form of
+# each dense input and its answers are compared densified.
 
 class DenseEchelon:
     def __init__(self, ambient):
@@ -541,6 +533,10 @@ def canonical(eb):
     return tuple(tuple(r) for r in eb.rows), tuple(eb.pivots)
 
 
+def dense_canonical(sub):
+    return dense_rows(sub), sub.pivots
+
+
 RATIONAL_ENTRIES = [ZERO] * 6 + [Scalar(x) for x in (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))]
 GAUSSIAN_ENTRIES = RATIONAL_ENTRIES + [Scalar(0, 1), Scalar(0, -1), Scalar(1, 1), Scalar(Fraction(1, 2), -2)]
 
@@ -560,51 +556,49 @@ def sparse_systems(draw):
     return ambient, rows, probes + rows[-2:]
 
 
-def _is_dense(sub):
+def _is_sparse(sub):
     return all(
-        isinstance(r, tuple) and len(r) == sub.ambient and all(isinstance(x, Scalar) for x in r)
-        for r in sub.rows
+        type(row) is dict and min(row) == p and row[p] == ONE
+        and all(0 <= j < sub.ambient and type(x) is Scalar and x for j, x in row.items())
+        for p, row in sub.sparse.items()
     )
 
 
 @settings(deadline=None, max_examples=150)
-@given(sparse_systems(), sparse_systems())
-def test_sparse_kernel_matches_dense_reference(system, other):
+@given(sparse_systems())
+def test_sparse_kernel_matches_dense_reference(system):
     ambient, rows, probes = system
-    s = span(rows, ambient)
+    s = span([sparse(r) for r in rows], ambient)
     ref = dense_span(rows, ambient)
-    assert (s.rows, s.pivots) == canonical(ref)
-    assert _is_dense(s)
+    assert dense_canonical(s) == canonical(ref)
+    assert _is_sparse(s)
     basis = s.basis()
     for v in probes:
-        assert s.contains(v) == (not any(ref.residual(v)))
-        assert as_dense(basis.residual(v), ambient) == ref.residual(v)
-    k = nullspace(rows, ambient)
-    assert (k.rows, k.pivots) == canonical(dense_nullspace(rows, ambient))
-    assert _is_dense(k)
-    _, other_rows, _ = other
-    t = span([(r + [ZERO] * ambient)[:ambient] for r in other_rows], ambient)
-    meet = s.intersect(t)
-    assert (meet.rows, meet.pivots) == canonical(dense_intersect(s.rows, t.rows, ambient))
-    assert _is_dense(meet)
+        assert s.contains(sparse(v)) == (not any(ref.residual(v)))
+        assert densify(basis.residual(sparse(v)), ambient) == ref.residual(v)
+    k = nullspace([sparse(r) for r in rows], ambient)
+    assert dense_canonical(k) == canonical(dense_nullspace(rows, ambient))
+    assert _is_sparse(k)
 
 
-def test_public_functions_take_and_give_dense_lists(band2):
-    rows = [vector([1, 0, 2, 0]), vector([0, 0, 1, 0])]
+def test_public_functions_take_and_give_sparse_dicts(band2):
+    rows = [{0: ONE, 2: Scalar(2)}, {2: ONE}]
     s = span(rows, 4)
-    assert s.rows == ((ONE, ZERO, ZERO, ZERO), (ZERO, ZERO, ONE, ZERO))
+    assert s.sparse == {0: {0: ONE}, 2: {2: ONE}}
     assert s.pivots == (0, 2)
-    assert s.contains([Scalar(3), ZERO, Scalar(5), ZERO])
-    assert nullspace(rows, 4).rows == ((ZERO, ONE, ZERO, ZERO), (ZERO, ZERO, ZERO, ONE))
+    assert s.contains({0: Scalar(3), 2: Scalar(5)})
+    assert nullspace(rows, 4).sparse == {1: {1: ONE}, 3: {3: ONE}}
     gram = band2.grams[0]
-    u = unit_vector(band2.dim, 0)
-    assert pairing(u, u, gram) == gram[0][0]
-    product = band2.multiply(u, u)
-    assert isinstance(product, list) and len(product) == band2.dim
-    assert isinstance(band2.multiply_basis_right(u, 0), list)
-    assert isinstance(band2.multiply_basis_left(0, u), list)
-    witness = psd_counterexample([[Scalar(1), Scalar(2)], [Scalar(2), Scalar(1)]])
-    assert isinstance(witness, list) and len(witness) == 2
+    u = {0: ONE}
+    assert pairing(u, u, gram) == gram.sparse[0][0]
+    assert band2.multiply(u, u) == {0: ONE}
+    assert band2.multiply_basis_right(u, 0) == {0: ONE}
+    assert band2.multiply_basis_left(0, u) == {0: ONE}
+    assert band2.multiply(u, {3: ONE}) == {}
+    witness = psd_counterexample(Gram([{0: ONE, 1: Scalar(2)}, {0: Scalar(2), 1: ONE}]))
+    assert isinstance(witness, dict) and set(witness) <= {0, 1}
+    assert dense_strings({1: Scalar(1, -2)}, 3) == ["0", "1-2*i", "0"]
+    assert dense_strings({}, 2) == ["0", "0"]
 
 
 # -- sparse Gram forms against dense references ----------------------------------
@@ -624,9 +618,11 @@ def dense_is_hermitian(gram):
 
 
 def dense_pairing(u, v, gram):
-    conj_v = [(j, x.conjugate()) for j, x in as_sparse(v).items()]
+    conj_v = [(j, x.conjugate()) for j, x in enumerate(v) if x]
     acc = ZERO
-    for i, ui in as_sparse(u).items():
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
         row = gram[i]
         part = ZERO
         for j, cj in conj_v:
@@ -641,7 +637,7 @@ def dense_pairing(u, v, gram):
 def dense_psd_counterexample(gram):
     n = len(gram)
     assert dense_is_hermitian(gram)
-    g = [as_sparse(row) for row in gram]
+    g = [{j: x for j, x in enumerate(row) if x} for row in gram]
     track = [{i: ONE} for i in range(n)]
     alive = list(range(n))
     live = set(alive)
@@ -654,11 +650,11 @@ def dense_psd_counterexample(gram):
                     k = min(ks)
                     w = dict(track[k])
                     add_scaled(w, -g[j][k].conjugate(), track[j].items())
-                    return as_dense(w, n)
+                    return densify(w, n)
             return None
         d = g[pivot][pivot]
         if d.re < 0:
-            return as_dense(track[pivot], n)
+            return densify(track[pivot], n)
         alive.remove(pivot)
         live.remove(pivot)
         gp = [(k, x) for k, x in g[pivot].items() if k in live]
@@ -675,28 +671,17 @@ def dense_psd_counterexample(gram):
 
 def dense_complement(inner, outer, grams):
     """{x in outer : <x, s>_a = 0 for all s in inner and all a}, from one
-    dense constraint row (G conj(s)) per (Gram, inner basis vector)."""
+    dense constraint row (G conj(s)) per (Gram, inner basis vector), as the
+    dense intersection of ``outer`` with the constraints' kernel."""
     n = outer.ambient
     constraints = []
     for gram in grams:
-        for s in inner.sparse.values():
-            conj_s = [(k, x.conjugate()) for k, x in s.items()]
-            row = {}
-            for j in range(n):
-                acc = ZERO
-                for k, ck in conj_s:
-                    g = gram[j][k]
-                    if g:
-                        acc = acc + g * ck
-                if acc:
-                    row[j] = acc
-            if row:
-                constraints.append(row)
-    return outer.intersect(nullspace(constraints, n))
-
-
-def _sparse_rows(gram):
-    return [{j: x for j, x in enumerate(row) if x} for row in gram]
+        for s in dense_rows(inner):
+            constraints.append([
+                sum((gram[j][k] * s[k].conjugate() for k in range(n)), ZERO) for j in range(n)
+            ])
+    kernel = dense_nullspace(constraints, n)
+    return canonical(dense_intersect(dense_rows(outer), kernel.rows, n))
 
 
 @st.composite
@@ -727,26 +712,28 @@ def gram_systems(draw):
                                              max_size=len(outer_rows)), max_size=3))
     ]
     probes = draw(st.lists(vectors, min_size=2, max_size=4))
-    return n, grams, span(outer_rows, n), span(inner_rows, n), probes
+    outer = span([sparse(r) for r in outer_rows], n)
+    inner = span([sparse(r) for r in inner_rows], n)
+    return n, grams, outer, inner, probes
 
 
 @settings(deadline=None, max_examples=150)
 @given(gram_systems())
 def test_sparse_gram_operations_match_dense_reference(system):
     n, grams, outer, inner, probes = system
-    for gram in grams:
-        sparse = Gram(gram)
-        for form in (gram, sparse, _sparse_rows(gram)):
-            assert is_hermitian(form) and dense_is_hermitian(gram)
-            for u in probes:
-                for v in probes:
-                    assert pairing(u, v, form) == dense_pairing(u, v, gram)
-            assert psd_counterexample(form) == dense_psd_counterexample(gram)
-    assert joint_orthogonal_complement(inner, outer, grams) == dense_complement(inner, outer, grams)
-    sparse_grams = [Gram(gram) for gram in grams]
-    assert joint_orthogonal_complement(inner, outer, sparse_grams) == dense_complement(
-        inner, outer, grams
-    )
+    sparse_grams = [Gram([sparse(row) for row in gram]) for gram in grams]
+    for gram, form in zip(grams, sparse_grams):
+        assert is_hermitian(form) and dense_is_hermitian(gram)
+        for u in probes:
+            for v in probes:
+                assert pairing(sparse(u), sparse(v), form) == dense_pairing(u, v, gram)
+        witness = psd_counterexample(form)
+        reference = dense_psd_counterexample(gram)
+        assert (witness is None) == (reference is None)
+        if witness is not None:
+            assert densify(witness, n) == reference
+    complement = joint_orthogonal_complement(inner, outer, sparse_grams)
+    assert dense_canonical(complement) == dense_complement(inner, outer, grams)
 
 
 @settings(deadline=None, max_examples=150)
@@ -764,33 +751,52 @@ def test_hermitian_verdict_matches_dense_reference(gram, a, b, defect):
         gram[i][j] = gram[j][i] = Scalar(2, 1)
     expected = dense_is_hermitian(gram)
     assert expected == (defect == "none" or (defect != "diagonal" and i == j))
-    assert is_hermitian(gram) == expected
-    assert is_hermitian(Gram(gram)) == expected
-    assert is_hermitian(_sparse_rows(gram)) == expected
+    assert is_hermitian(Gram([sparse(row) for row in gram])) == expected
 
 
-def test_gram_reads_as_a_dense_matrix():
+def test_gram_keeps_the_nonzero_entries_of_sparse_rows():
     i = Scalar(0, 1)
-    dense = [[Scalar(2), ZERO, i], [ZERO, ZERO, ZERO], [-i, ZERO, ONE]]
-    gram = Gram(dense)
+    gram = Gram([{0: Scalar(2), 2: i}, {1: ZERO}, {0: -i, 2: ONE}])
     assert gram.sparse == ({0: Scalar(2), 2: i}, {}, {0: -i, 2: ONE})
     assert gram.square and len(gram) == 3
-    assert gram[0][2] == i and gram[1][1] == ZERO
-    assert [list(row) for row in gram] == dense
+    assert gram.sparse[0][2] is i
     assert Gram([{0: 2, 2: i}, {1: 0}, {0: -i, 2: "1"}]) == gram
-    assert Gram(gram.sparse) == gram
+    assert Gram(iter(gram.sparse)) == gram
+
+
+def test_gram_coerces_only_entries_that_are_not_scalars(monkeypatch):
+    """A Gram entry that is already a Scalar is not coerced again, so the
+    rows a spec-file load has parsed reach the Gram as they are."""
+    import gradedrings.linalg as linalg
+    from gradedrings import dumps_ring, loads_ring, random_ring
+
+    calls = []
+    coerce = linalg.as_scalar
+
+    def counted(value):
+        calls.append(value)
+        return coerce(value)
+
+    monkeypatch.setattr(linalg, "as_scalar", counted)
+    Gram([{0: Scalar(2), 1: ONE}, {0: ONE, 1: ZERO}])
+    assert calls == []
+    assert Gram([{0: 2, 1: "1/2"}]).sparse == ({0: Scalar(2), 1: Scalar(Fraction(1, 2))},)
+    assert calls == [2, "1/2"]
+    calls.clear()
+    text = dumps_ring(random_ring(1))
+    assert '"grams": [\n    [' in text  # a dense Gram in the file
+    loads_ring(text)
+    assert calls == []
 
 
 def test_gram_records_non_square_input():
-    assert not Gram([[ONE, ZERO], [ONE]]).square
-    assert not Gram([[ONE, ZERO, ZERO], [ZERO, ONE]]).square
-    assert not Gram([[ONE, ZERO]]).square
     assert not Gram([{0: ONE}, {2: ONE}]).square
     assert not Gram([{0: ONE}, {-1: ONE}]).square
+    assert not Gram([{1: ONE}]).square
+    assert not Gram([{0: ONE, 1: ZERO}]).square  # a zero entry's index counts too
     assert Gram([]).square and Gram([{}, {1: ONE}]).square
-    assert not is_hermitian([[ONE, ZERO], [ZERO]])
-    assert not is_hermitian([{0: ONE}, {2: ONE}])
+    assert not is_hermitian(Gram([{0: ONE}, {2: ONE}]))
     with pytest.raises(MalformedInputError):
-        psd_check([[ONE], [ZERO, ONE]])
+        psd_check(Gram([{0: ONE}, {2: ONE}]))
     with pytest.raises(MalformedInputError):
-        Gram([["one"]])
+        Gram([{0: "one"}])

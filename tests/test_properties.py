@@ -29,12 +29,10 @@ from gradedrings import (
     random_ring,
     span,
     theorem_hypotheses,
-    unit_vector,
-    zero_vector,
 )
 from gradedrings.linalg import ONE, ZERO, pairing
 
-from conftest import identity_gram, trivially_graded_zero_ring
+from conftest import densify, identity_gram, sparse, trivially_graded_zero_ring
 
 
 # -- maximal length -----------------------------------------------------------
@@ -207,7 +205,7 @@ def test_annihilating_line_is_found(band2):
     ring = direct_sum(band2, trivially_graded_zero_ring(1))
     ann = annihilator(ring)
     assert ann.dim == 1
-    assert ann.contains(unit_vector(ring.dim, ring.dim - 1))
+    assert ann.contains({ring.dim - 1: ONE})
 
 
 def test_annihilator_respects_direct_sums(band2):
@@ -238,7 +236,7 @@ def test_pairing_compatibility_failure_is_reported(band2):
     # pairs are (q, q^-1) and (q^-1, q) against the new Gram
     a11 = band2.labels.index("a((1,1),(1,1))")
     a22 = band2.labels.index("a((2,1),(2,1))")
-    gram = [[Scalar(2) if i == j else ZERO for j in range(4)] for i in range(4)]
+    gram = [{i: Scalar(2)} for i in range(4)]
     gram[a11][a22] = ONE
     gram[a22][a11] = ONE
     ring = GradedRing(
@@ -258,9 +256,7 @@ def test_unequal_diagonal_gram_keeps_coherence(band2):
     # an extra Gram scaling the diagonal units unequally: both sides of the
     # pairing compatibility vanish or not together under diagonal Grams
     scale = [Fraction(2), Fraction(1), Fraction(1), Fraction(3)]
-    extra = [
-        [Scalar(scale[i]) if i == j else ZERO for j in range(4)] for i in range(4)
-    ]
+    extra = [{i: Scalar(scale[i])} for i in range(4)]
     ring = GradedRing(
         band2.signature,
         band2.degrees,
@@ -275,58 +271,63 @@ def test_unequal_diagonal_gram_keeps_coherence(band2):
 # -- ideal closure -------------------------------------------------------------------
 
 def test_closure_of_zero_is_zero(band3):
-    assert ideal_closure(band3, zero_vector(band3.dim)).dim == 0
+    assert ideal_closure(band3, {}).dim == 0
 
 
 def test_closure_of_any_unit_fills_a_one_band_ring(band3):
     for i in range(band3.dim):
-        closure = ideal_closure(band3, unit_vector(band3.dim, i))
+        closure = ideal_closure(band3, {i: ONE})
         assert closure == full_space(band3.dim)
 
 
 def test_closure_stays_inside_one_band(band3x2):
     # units of the first band (indices 0..8) generate exactly that band
-    closure = ideal_closure(band3x2, unit_vector(band3x2.dim, 0))
+    closure = ideal_closure(band3x2, {0: ONE})
     assert closure.dim == 9
-    assert closure.rows == tuple(tuple(unit_vector(18, i)) for i in range(9))
+    assert closure.sparse == {i: {i: ONE} for i in range(9)}
 
 
 def test_closure_output_is_a_graded_ideal_and_monotone():
     for seed in range(6):
         ring = random_ring(seed)
-        v = unit_vector(ring.dim, seed % ring.dim)
+        v = {seed % ring.dim: ONE}
         closure = ideal_closure(ring, v)
         assert closure.contains(v)
         assert is_graded_ideal(ring, closure)
-        for w in closure.rows:
-            assert closure.contains_subspace(ideal_closure(ring, list(w)))
+        for w in closure.sparse.values():
+            assert closure.contains_subspace(ideal_closure(ring, w))
 
 
 def reference_closure(ring, v):
-    """Smallest graded ideal containing v, grown in rounds to a fixpoint:
-    each round multiplies every basis row by every basis element on both
-    sides, and there is no early exit."""
+    """Smallest graded ideal containing v, a dense list, grown in rounds to a
+    fixpoint: each round multiplies every basis row by every basis element
+    on both sides, and there is no early exit."""
     n = ring.dim
     pieces = []
     for g in ring.attained_degrees():
         keep = set(ring.indices_of_degree(g))
-        pieces.append([x if i in keep else ZERO for i, x in enumerate(v)])
+        pieces.append(sparse([x if i in keep else ZERO for i, x in enumerate(v)]))
     current = span(pieces, n)
     while True:
+        rows = list(current.sparse.values())
         products = []
-        for row in current.rows:
+        for row in rows:
             for j in range(n):
-                products.append(ring.multiply_basis_right(list(row), j))
-                products.append(ring.multiply_basis_left(j, list(row)))
-        grown = span(list(current.rows) + products, n)
+                products.append(ring.multiply_basis_right(row, j))
+                products.append(ring.multiply_basis_left(j, row))
+        grown = span(rows + products, n)
         if grown == current:
             return current
         current = grown
 
 
+def unit(n, i):
+    return [ONE if j == i else ZERO for j in range(n)]
+
+
 def _closure_seeds(ring, rng):
     n = ring.dim
-    seeds = [unit_vector(n, i) for i in range(n)]
+    seeds = [unit(n, i) for i in range(n)]
     seeds.append([Scalar(rng.randint(-2, 2)) for _ in range(n)])
     return seeds
 
@@ -334,11 +335,11 @@ def _closure_seeds(ring, rng):
 def _assert_closures_match_reference(ring, rng):
     n = ring.dim
     # exactly the basis indices whose closure is the whole ring
-    full = {i for i in range(n) if reference_closure(ring, unit_vector(n, i)).dim == n}
+    full = {i for i in range(n) if reference_closure(ring, unit(n, i)).dim == n}
     for v in _closure_seeds(ring, rng):
         expected = reference_closure(ring, v)
-        assert ideal_closure(ring, v) == expected
-        assert ideal_closure(ring, v, generators=full) == expected
+        assert ideal_closure(ring, sparse(v)) == expected
+        assert ideal_closure(ring, sparse(v), generators=full) == expected
 
 
 @pytest.mark.parametrize("size,bands", [(2, 1), (3, 1), (2, 2), (3, 2)])
@@ -356,30 +357,29 @@ def test_closure_matches_fixpoint_reference_on_random_rings(seed):
 def test_closure_reuse_needs_a_known_generator(band3x2):
     # no basis vector of a two-band ring generates everything, so a
     # single-entry product must not end the closure early
-    n = band3x2.dim
-    v = [ONE if i in (0, 4) else ZERO for i in range(n)]
+    v = {0: ONE, 4: ONE}
     closure = ideal_closure(band3x2, v, generators=frozenset())
     assert closure.dim == 9
-    assert closure == ideal_closure(band3x2, unit_vector(n, 0))
+    assert closure == ideal_closure(band3x2, {0: ONE})
 
 
 def reference_oracle(ring, sample_count=8, seed=0):
     """The oracle's loop with every closure grown by ``reference_closure``,
-    so no closure reuses an earlier one."""
+    so no closure reuses an earlier one; its witness is a dense list."""
     n = ring.dim
     if n == 0 or not ring.structure:
         return (False, None, 0, "the product is identically zero")
     tested = 0
     for i in range(n):
         tested += 1
-        if reference_closure(ring, unit_vector(n, i)).dim != n:
-            return (False, unit_vector(n, i), tested,
+        if reference_closure(ring, unit(n, i)).dim != n:
+            return (False, unit(n, i), tested,
                     f"closure of basis vector {i} is a proper nonzero graded ideal")
     one_indices = ring.indices_of_degree(ring.identity_degree())
     if one_indices and sample_count > 0:
         rng = random.Random(seed)
         for _ in range(sample_count):
-            v = zero_vector(n)
+            v = [ZERO] * n
             while not any(v):
                 for i in one_indices:
                     v[i] = Scalar(Fraction(rng.randint(-9, 9)))
@@ -412,7 +412,8 @@ ORACLE_RINGS = (
 def test_oracle_with_closure_reuse_matches_oracle_without(make):
     ring = make()
     result = graded_simple_oracle(ring)
-    assert (result.verdict, result.witness, result.closures_tested, result.reason) == (
+    witness = None if result.witness is None else densify(result.witness, ring.dim)
+    assert (result.verdict, witness, result.closures_tested, result.reason) == (
         reference_oracle(ring)
     )
 
@@ -496,8 +497,6 @@ def test_theorem_and_oracle_agree_on_group_algebras():
 
 
 def test_simplicity_forces_connected_support_and_identity_span():
-    from gradedrings import class_identity_span
-
     rings = [banded_ring(BandedRingParams(3, 1))] + [random_ring(seed) for seed in range(8)]
     confirmed = 0
     for ring in rings:
@@ -506,8 +505,7 @@ def test_simplicity_forces_connected_support_and_identity_span():
             confirmed += 1
             classes = connection_classes(ring)
             assert classes.count == 1
-            block = classes.blocks[0]
-            assert class_identity_span(ring, block) == ring.identity_component()
+            assert decompose(ring).identity_spans == (ring.identity_component(),)
     assert confirmed >= 1
 
 
@@ -532,7 +530,7 @@ def test_induced_subring_handles_combination_basis_rows():
         sig, [(0,), (0,), (1,), (-1,)], structure, [identity_gram(4)], ["e", "f", "w", "w'"]
     )
     assert ring.validate().ok
-    seed = [ZERO, ZERO, ONE, ONE]  # w + w', homogeneous pieces seed both lines
+    seed = {2: ONE, 3: ONE}  # w + w', homogeneous pieces seed both lines
     ideal = ideal_closure(ring, seed)
     assert ideal.dim == 3
     sub = induced_subring(ring, ideal)
@@ -544,9 +542,9 @@ def test_induced_subring_handles_combination_basis_rows():
     w_new = rows_by_degree[(1,)]
     winv_new = rows_by_degree[(-1,)]
     one_new = rows_by_degree[(0,)]
-    assert dict(sub.basis_product(w_new, winv_new)) == {one_new: ONE}
+    assert sub.multiply({w_new: ONE}, {winv_new: ONE}) == {one_new: ONE}
     # the combination row pairs with itself as 2 under the inherited Gram
-    assert sub.grams[0][one_new][one_new] == Scalar(2)
+    assert sub.grams[0].sparse[one_new][one_new] == Scalar(2)
 
 
 def test_wedderburn_style_decomposition_on_qualified_rings():
@@ -715,3 +713,25 @@ def test_coherence_is_computed_once_per_ring(band3x2):
     assert decompose(band3x2).coherent == is_coherent(band3x2).ok
     with pytest.raises(AttributeError):
         is_coherent(band3x2).span_ok = False
+
+
+def test_properties_report_decides_each_derived_quantity_once(monkeypatch):
+    """Whether the inverse-degree products span the identity component is
+    decided once per ring, though coherence, the theorem route and the
+    oracle all ask; the hypotheses are gathered once and kept read-only."""
+    calls = []
+    component = GradedRing.identity_component
+
+    def counted(ring):
+        calls.append(ring)
+        return component(ring)
+
+    monkeypatch.setattr(GradedRing, "identity_component", counted)
+    ring = banded_ring(BandedRingParams(3, 1))
+    props = properties_report(ring, oracle_samples=2)
+    assert props.coherence.span_ok and props.simple_by_theorem and props.simple_by_oracle
+    assert props.oracle.reason.startswith("support lines generate everything")
+    assert len(calls) == 1
+    assert props.hypotheses is theorem_hypotheses(ring)
+    with pytest.raises(TypeError):
+        props.hypotheses["maximal_length"] = False

@@ -25,9 +25,9 @@ from gradedrings.report import (
     validation_section,
 )
 
-from gradedrings.linalg import ONE, ZERO, Scalar
+from gradedrings.linalg import ONE, Scalar
 
-from conftest import grading_defect_ring
+from conftest import densify, grading_defect_ring
 
 
 def full_report(ring):
@@ -74,7 +74,7 @@ def test_writers_leave_no_cyclic_garbage():
 def complex_ring():
     """Dim 3, trivially graded, with Q(i) entries in its Gram."""
     i = Scalar(0, 1)
-    gram = [[ONE, i, ZERO], [-i, Scalar(2), ZERO], [ZERO, ZERO, ZERO]]
+    gram = [{0: ONE, 1: i}, {0: -i, 1: Scalar(2)}, {}]
     return GradedRing(GroupSignature(0, ()), [(), (), ()], {}, [gram])
 
 
@@ -87,14 +87,36 @@ def test_basis_rows_are_the_dense_canonical_rows(ring):
     """Bases written from sparse rows equal the dense rows, entry by entry."""
 
     def dense(sub):
-        return [[str(x) for x in row] for row in sub.rows]
+        return [[str(x) for x in densify(row, sub.ambient)] for row in sub.sparse.values()]
 
     dec = decompose(ring)
     section = decomposition_section(dec)
     assert [ideal["basis"] for ideal in section["ideals"]] == [dense(i) for i in dec.ideals]
     assert section["complement"]["basis"] == dense(dec.complement)
     props = properties_report(ring, oracle_samples=1)
-    assert properties_section(props)["annihilator"]["basis"] == dense(props.annihilator)
+    section = properties_section(props)
+    assert section["annihilator"]["basis"] == dense(props.annihilator)
+    witness = props.oracle.witness
+    assert section["oracle"]["witness"] == (
+        None if witness is None else [str(x) for x in densify(witness, ring.dim)]
+    )
+
+
+def test_oracle_witnesses_are_written_densely():
+    """A refuting basis vector and a refuting sampled vector, each written
+    as all of its coordinates."""
+    band = properties_section(properties_report(banded_ring(BandedRingParams(2, 2)), 0))
+    assert band["oracle"]["witness"] == ["1", "0", "0", "0", "0", "0", "0", "0"]
+    # Q x Q on the basis (1, 1), (1, -1): both basis vectors are units, but
+    # a sampled x e0 + y e1 with x = +-y is not
+    twins = GradedRing(
+        GroupSignature(0, ()), [(), ()],
+        {(0, 0): [(0, ONE)], (0, 1): [(1, ONE)], (1, 0): [(1, ONE)], (1, 1): [(0, ONE)]},
+        [[{0: ONE}, {1: ONE}]],
+    )
+    section = properties_section(properties_report(twins, oracle_samples=8, oracle_seed=1))
+    assert section["oracle"]["reason"] == "closure of a sampled identity-component vector is proper"
+    assert section["oracle"]["witness"] == ["-6", "6"]
 
 
 def test_dumps_report_is_deterministic():

@@ -20,8 +20,6 @@ from gradedrings import (
     is_symmetric_support,
     pairing,
     random_ring,
-    unit_vector,
-    vector,
 )
 from gradedrings.connections import _symmetrized
 from gradedrings.decomposition import inverse_products
@@ -30,11 +28,13 @@ from gradedrings.ring import ViolationReport, derived
 
 from conftest import (
     associativity_defect_ring,
+    densify,
     grading_defect_ring,
     hausdorff_defect_ring,
     identity_gram,
     orthogonality_defect_ring,
     psd_defect_ring,
+    sparse,
     trivially_graded_zero_ring,
 )
 
@@ -49,43 +49,35 @@ def test_multiply_matches_structure_on_basis_pairs(band2):
     n = band2.dim
     for i in range(n):
         for j in range(n):
-            product = band2.multiply(unit_vector(n, i), unit_vector(n, j))
-            expected = [ZERO] * n
-            for k, c in band2.basis_product(i, j):
-                expected[k] = c
-            assert product == expected
+            product = band2.multiply({i: ONE}, {j: ONE})
+            assert product == dict(band2.structure.get((i, j), ()))
 
 
 def test_multiply_matrix_units_matching_middle_index():
     ring = banded_ring(BandedRingParams(4, 1))
-    n = ring.dim
     a12 = unit_label_index(ring, 1, 1, 2)
     a23 = unit_label_index(ring, 2, 1, 3)
     a13 = unit_label_index(ring, 1, 1, 3)
-    out = ring.multiply(unit_vector(n, a12), unit_vector(n, a23))
-    assert out == unit_vector(n, a13)
+    out = ring.multiply({a12: ONE}, {a23: ONE})
+    assert out == {a13: ONE}
 
 
 def test_multiply_matrix_units_mismatched_middle_index():
     ring = banded_ring(BandedRingParams(4, 1))
-    n = ring.dim
     a12 = unit_label_index(ring, 1, 1, 2)
     a34 = unit_label_index(ring, 3, 1, 4)
-    assert not any(ring.multiply(unit_vector(n, a12), unit_vector(n, a34)))
+    assert ring.multiply({a12: ONE}, {a34: ONE}) == {}
 
 
 def test_multiply_is_bilinear(band3):
     rng = random.Random(3)
     n = band3.dim
     for _ in range(10):
-        u = vector([rng.randint(-3, 3) for _ in range(n)])
-        v = vector([rng.randint(-3, 3) for _ in range(n)])
-        w = vector([rng.randint(-3, 3) for _ in range(n)])
-        left = band3.multiply(u, [x + y for x, y in zip(v, w)])
-        split = [
-            x + y for x, y in zip(band3.multiply(u, v), band3.multiply(u, w))
-        ]
-        assert left == split
+        u, v, w = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(3))
+        left = band3.multiply(sparse(u), sparse([x + y for x, y in zip(v, w)]))
+        uv = densify(band3.multiply(sparse(u), sparse(v)), n)
+        uw = densify(band3.multiply(sparse(u), sparse(w)), n)
+        assert densify(left, n) == [x + y for x, y in zip(uv, uw)]
 
 
 # -- support and components ----------------------------------------------------
@@ -126,8 +118,8 @@ def test_component_products_respect_the_grading(band3x2):
     for g in ring.attained_degrees():
         for h in ring.attained_degrees():
             target = ring.component(sig.compose(g, h)).basis()
-            for u in ring.component(g).rows:
-                for v in ring.component(h).rows:
+            for u in ring.component(g).sparse.values():
+                for v in ring.component(h).sparse.values():
                     assert target.contains(ring.multiply(u, v))
 
 
@@ -137,8 +129,8 @@ def test_distinct_components_are_orthogonal(band3x2):
     for a, g in enumerate(degrees):
         for h in degrees[a + 1 :]:
             for gram in ring.grams:
-                for u in ring.component(g).rows:
-                    for v in ring.component(h).rows:
+                for u in ring.component(g).sparse.values():
+                    for v in ring.component(h).sparse.values():
                         assert not pairing(u, v, gram)
 
 
@@ -198,7 +190,7 @@ def test_validate_reports_malformed_records():
     no_grams = GradedRing(sig, [(0,)], {}, [])
     assert no_grams.validate().kinds() == ["malformed"]
 
-    non_hermitian = GradedRing(sig, [(0,), (0,)], {}, [[[ONE, ONE], [ZERO, ONE]]])
+    non_hermitian = GradedRing(sig, [(0,), (0,)], {}, [[{0: ONE, 1: ONE}, {1: ONE}]])
     assert non_hermitian.validate().kinds() == ["malformed"]
 
 
@@ -367,7 +359,8 @@ def test_zero_product_branch_matches_dense_reference(make):
 
 # -- malformed and defective Gram families ------------------------------------------
 #
-# The expected lists were recorded from the dense Gram implementation.
+# The expected lists were recorded from the dense Gram implementation; the
+# matrices written densely here reach the rings as sparse rows.
 
 def _gram_defect_rings():
     i = Scalar(0, 1)
@@ -380,21 +373,20 @@ def _gram_defect_rings():
     not_hermitian = [("malformed", (0,), "Gram 0 is not Hermitian")]
     z5 = [ZERO] * 5
     return [
-        (ring([[[ONE, ZERO], [ONE]]]), not_2x2),
-        (ring([[[ONE, ZERO]]]), not_2x2),
-        (ring([[[ONE, ZERO, ZERO], [ZERO, ONE]]]), not_2x2),
+        (ring([[{0: ONE}, {0: ONE, 2: ZERO}]]), not_2x2),
+        (ring([[{0: ONE}]]), not_2x2),
+        (ring([[{0: ONE}, {1: ONE, 2: ONE}]]), not_2x2),
         (ring([identity_gram(3)]), not_2x2),
         (ring([[{0: ONE}, {2: ONE}]]), not_2x2),
-        (ring([[[ONE, ONE], [ZERO, ONE]]]), not_hermitian),
         (ring([[{0: ONE, 1: ONE}, {1: ONE}]]), not_hermitian),
-        (ring([[[i, ZERO], [ZERO, ONE]]]), not_hermitian),
-        (ring([[[ONE, i], [i, ONE]]]), not_hermitian),
+        (ring([[{0: i}, {1: ONE}]]), not_hermitian),
+        (ring([[{0: ONE, 1: i}, {0: i, 1: ONE}]]), not_hermitian),
         (
             ring(
                 [
                     identity_gram(3),
-                    [[ONE, ZERO, ZERO], [ZERO, ONE]],
-                    [[ONE, ONE, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]],
+                    [{0: ONE}, {1: ONE}],
+                    [{0: ONE, 1: ONE}, {1: ONE}, {2: ONE}],
                     identity_gram(2),
                 ],
                 sig1,
@@ -411,14 +403,14 @@ def _gram_defect_rings():
         (
             ring(
                 [
-                    [
+                    [sparse(row) for row in [
                         [ONE, ZERO, ZERO, Scalar(1, 2), ONE],
                         [ZERO, ONE, ZERO, Scalar(2), Scalar(3)],
                         z5,
                         [Scalar(1, -2), Scalar(2), ZERO, ONE, ZERO],
                         [ONE, Scalar(3), ZERO, ZERO, ONE],
-                    ],
-                    [[ZERO, ZERO, i, ZERO, ZERO], z5, [-i, ZERO, ZERO, ZERO, ZERO], z5, z5],
+                    ]],
+                    [{2: i}, {}, {0: -i}, {}, {}],
                 ],
                 sig1,
                 [(0,), (1,), (0,), (2,), (1,)],
@@ -438,10 +430,16 @@ def _gram_defect_rings():
         ),
         (
             ring(
-                [[[ONE, ZERO, ONE], [ZERO] * 3, [ONE, ZERO, ONE]], [{}, {1: ONE}, {}]],
+                [[{0: ONE, 2: ONE}, {}, {0: ONE, 2: ONE}], [{}, {1: ONE}, {}]],
                 sig1,
                 [(0,), (1,), (0,)],
             ),
+            [("hausdorff", (), "the Gram family does not separate points; "
+              "[1, 0, -1] is in the joint kernel")],
+        ),
+        (
+            # a two-dimensional joint kernel: the first canonical row is named
+            ring([[{0: ONE, 1: ONE, 2: ONE}] * 3], degrees=((), (), ())),
             [("hausdorff", (), "the Gram family does not separate points; "
               "[1, 0, -1] is in the joint kernel")],
         ),
@@ -515,12 +513,6 @@ def test_basis_multiples_are_the_nonzero_basis_products(make):
             if w
         ]
         assert list(ring.basis_multiples(u)) == everything
-
-
-def test_vector_length_mismatch():
-    ring = trivially_graded_zero_ring(2)
-    with pytest.raises(MalformedInputError):
-        ring.multiply(vector([1]), vector([1, 0]))
 
 
 # -- read-only ring, derived quantities kept per ring -----------------------------

@@ -56,7 +56,7 @@ def _env_int(given: int | None, name: str, default: int) -> int:
 def _parse_list(flag: str, text: str, convert) -> tuple:
     """A comma-separated option value, each item converted by ``convert``."""
     try:
-        return tuple(convert(item) for item in text.split(","))
+        return tuple([convert(item) for item in text.split(",")])
     except (ValueError, ZeroDivisionError) as exc:
         raise SpecFileError(f"{flag}: cannot parse {text!r}: {exc}") from exc
 

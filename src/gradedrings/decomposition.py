@@ -59,7 +59,7 @@ def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
 
 
 def _require_partition_block(ring: GradedRing, block) -> tuple[Element, ...]:
-    block = tuple(sorted(ring.signature.element(g) for g in block))
+    block = tuple(sorted([ring.signature.element(g) for g in block]))
     if block not in connection_classes(ring).blocks:
         raise PreconditionError(f"{list(block)} is not a connection class of this ring")
     return block
@@ -170,7 +170,7 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     """
     classes = connection_classes(ring)
     parts = [_class_parts(ring, block) for block in classes.blocks]
-    identity_spans, component_sums, ideals = (tuple(p[k] for p in parts) for k in range(3))
+    identity_spans, component_sums, ideals = (tuple([p[k] for p in parts]) for k in range(3))
 
     complement, exact = identity_complement(ring)
 

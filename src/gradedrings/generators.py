@@ -58,7 +58,7 @@ class BandedRingParams:
         if primes is None:
             primes = tuple(first_primes(self.size * self.bands))
         else:
-            primes = tuple(int(p) for p in primes)
+            primes = tuple([int(p) for p in primes])
         object.__setattr__(self, "primes", primes)
         if len(primes) != self.size * self.bands:
             raise PreconditionError(
@@ -68,7 +68,7 @@ class BandedRingParams:
             raise PreconditionError("prime labels must be pairwise distinct")
         if any(p < 2 for p in primes):
             raise PreconditionError("prime labels must be at least 2")
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = tuple([Fraction(w) for w in self.weights])
         object.__setattr__(self, "weights", weights)
         if not weights:
             raise PreconditionError("at least one weight is required")
@@ -271,9 +271,7 @@ def random_ring(seed: int, params: RandomRingParams = RandomRingParams()) -> Gra
                 continue
             size, bands = rng.choice(options)
             primes = tuple(rng.sample(pool, size * bands))
-            weights = tuple(
-                Fraction(rng.randint(2, 8), 2) for _ in range(rng.randint(1, 2))
-            )
+            weights = tuple([Fraction(rng.randint(2, 8), 2) for _ in range(rng.randint(1, 2))])
             summands.append(banded_ring(BandedRingParams(size, bands, primes, weights)))
             budget -= size * size * bands
         else:

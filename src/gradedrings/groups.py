@@ -119,4 +119,4 @@ class GroupSignature:
         """All elements of a finite group, in ascending lexicographic order."""
         if not self.is_finite():
             raise PreconditionError("cannot enumerate an infinite group")
-        return [tuple(e) for e in itertools.product(*(range(m) for m in self.torsion))]
+        return list(itertools.product(*[range(m) for m in self.torsion]))

@@ -281,6 +281,15 @@ def dense_strings(vec: dict[int, Scalar], n: int) -> list[str]:
     return strings
 
 
+def check_indices(vec: dict[int, Scalar], n: int) -> None:
+    """MalformedInputError unless every index of ``vec`` is in range(n).
+    Checked where a caller's vector enters the library, not in the loops
+    that only pass the library's own vectors along."""
+    if vec and not (0 <= min(vec) and max(vec) < n):
+        bad = next(j for j in vec if not 0 <= j < n)
+        raise MalformedInputError(f"vector index {bad} is out of range for dimension {n}")
+
+
 def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
     """v += c * w in place, for w given by its nonzero (index, value) pairs;
     entries that cancel are deleted, so v stays free of zeros.  When c is
@@ -490,6 +499,7 @@ class Subspace:
         return {j for row in self.sparse.values() for j in row}
 
     def contains(self, vec) -> bool:
+        check_indices(vec, self.ambient)
         return not _reduce(self.sparse, vec)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -519,7 +529,9 @@ class Subspace:
 def span(vectors, ambient: int) -> Subspace:
     """Canonical reduced-echelon basis of the linear span."""
     eb = EchelonBasis(ambient)
-    eb.extend(vectors)
+    for v in vectors:
+        check_indices(v, ambient)
+        eb.add(v)
     return eb.to_subspace()
 
 

@@ -150,7 +150,7 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
     grams = ring.grams
     # per pair of distinct spans, per Gram: whether the left side vanishes
     lhs_zero = [
-        [tuple(pairing_vanishes(p, q, gram) for gram in grams) for q in spans] for p in spans
+        [tuple([pairing_vanishes(p, q, gram) for gram in grams]) for q in spans] for p in spans
     ]
 
     failures = []
@@ -163,7 +163,7 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
                 rhs = (True,) * len(grams)
             else:
                 rhs_space = ring.product_span(q, component)
-                rhs = tuple(pairing_vanishes(component, rhs_space, gram) for gram in grams)
+                rhs = tuple([pairing_vanishes(component, rhs_space, gram) for gram in grams])
             failing.append([a for a, zero in enumerate(lhs) if zero != rhs[a]])
         if any(failing):
             failures.extend((g, h, a) for h in sup for a in failing[span_of[h]])

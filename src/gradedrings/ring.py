@@ -7,7 +7,10 @@ matrices.  :meth:`GradedRing.validate` checks the five axioms the model is
 supposed to satisfy and reports every failure with a concrete witness:
 
 * grading        product of degrees matches the degree of every product term
-* associativity  (e_i e_j) e_k == e_i (e_j e_k) for all basis triples
+* associativity  (e_i e_j) e_k == e_i (e_j e_k) for all basis triples, decided
+                 on the triples whose middle factor is one of a generating
+                 set of basis vectors (Light's test); all triples are
+                 checked only to list the violations
 * orthogonality  distinct homogeneous components pair to zero in every Gram
 * psd            every Gram form is positive semidefinite
 * hausdorff      the joint kernel of the Gram family is trivial
@@ -38,6 +41,7 @@ from .linalg import (
     Subspace,
     add_scaled,
     as_scalar,
+    check_indices,
     coordinate_subspace,
     dense_strings,
     is_hermitian,
@@ -221,6 +225,7 @@ class GradedRing:
     def homogeneous_parts(self, v: dict[int, Scalar]) -> list[tuple[Element, dict[int, Scalar]]]:
         """The nonzero homogeneous pieces of v as (degree, vector) pairs in
         ascending degree order."""
+        check_indices(v, self.dim)
         parts: dict[Element, dict[int, Scalar]] = {}
         for i, x in v.items():
             parts.setdefault(self.degrees[i], {})[i] = x
@@ -322,7 +327,56 @@ class GradedRing:
                         f"(coefficient {c})",
                     )
 
+    def _associativity_middles(self) -> list[int]:
+        """Basis indices whose vectors generate the ring, found greedily.
+
+        Indices are walked in order; one not yet reached becomes a
+        generator.  e_k is reached when e_i e_j = c e_k is a single term
+        with e_i and e_j reached, so every reached e_k = c^-1 e_i e_j lies
+        in the subalgebra the generators span.  Products with several
+        terms are never used: a coordinate only they would reach becomes a
+        generator itself.  The walk costs O(structure keys) and no scalar
+        arithmetic."""
+        n = self.dim
+        reached = [False] * n
+        middles = []
+        for a in range(n):
+            if reached[a]:
+                continue
+            middles.append(a)
+            reached[a] = True
+            stack = [a]
+            while stack:
+                u = stack.pop()
+                keys = [(u, j) for j in self._left_keys.get(u, ()) if reached[j]]
+                keys += [(i, u) for i in self._right_keys.get(u, ()) if reached[i]]
+                for key in keys:
+                    entries = self.structure[key]
+                    if len(entries) == 1 and not reached[k := entries[0][0]]:
+                        reached[k] = True
+                        stack.append(k)
+        return middles
+
     def _check_associativity(self, report: ViolationReport) -> None:
+        """Light's associativity test (Clifford and Preston, *The Algebraic
+        Theory of Semigroups* I, 1961, section 1.2), for a bilinear product.
+
+        T = {a : (x a) y = x (a y) for all x, y} is a subspace, and it is
+        closed under products: for a, b in T,
+        (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+        So when the e_a, a in A, generate the ring, the product is
+        associative exactly when each e_a is in T, which is the triples
+        (i, a, k) with middle index a in A.  Only when one of them fails are
+        all triples checked, so the violations reported are every failing
+        triple, in the order of (i, j, k)."""
+        probe = ViolationReport()
+        self._associativity_triples(probe, self._associativity_middles())
+        if not probe.ok:
+            self._associativity_triples(report, range(self.dim))
+
+    def _associativity_triples(self, report: ViolationReport, middles) -> None:
+        """Compare (e_i e_j) e_k with e_i (e_j e_k) for every i and k and
+        every j in ``middles`` (ascending) where either side can be nonzero."""
         n = self.dim
 
         def right_mul(entries, k):
@@ -341,8 +395,8 @@ class GradedRing:
         # of e_j e_k: for each (i, j) with e_i e_j = 0, the k where that
         # happens, in the order of _left_keys[j]
         zero_ks: dict[tuple[int, int], list[int]] = {}
-        for j, ks in self._left_keys.items():
-            for k in ks:
+        for j in middles:
+            for k in self._left_keys.get(j, ()):
                 seen = set()
                 for m, _ in self.structure[(j, k)]:
                     for i in self._right_keys.get(m, ()):
@@ -351,7 +405,7 @@ class GradedRing:
                             zero_ks.setdefault((i, j), []).append(k)
 
         for i in range(n):
-            for j in range(n):
+            for j in middles:
                 left = self.structure.get((i, j))
                 if left:
                     # both sides vanish unless e_j e_k or some e_m e_k with

@@ -205,9 +205,7 @@ def ring_from_dict(data) -> GradedRing:
     torsion = _need(group, "torsion", "group")
     if not isinstance(torsion, list):
         raise SpecFileError("group.torsion: expected a list")
-    torsion = tuple(
-        _as_int(m, f"group.torsion[{idx}]") for idx, m in enumerate(torsion)
-    )
+    torsion = tuple([_as_int(m, f"group.torsion[{idx}]") for idx, m in enumerate(torsion)])
     try:
         sig = GroupSignature(free_rank, torsion)
     except MalformedInputError as exc:

@@ -119,6 +119,20 @@ def test_contains():
     assert s.contains({})
 
 
+@pytest.mark.parametrize("bad", [5, 2, -1])
+def test_span_rejects_an_index_outside_the_dimension(bad):
+    message = rf"vector index {bad} is out of range for dimension 2"
+    with pytest.raises(MalformedInputError, match=message):
+        span([{0: ONE}, {bad: ONE, 1: ONE}], 2)
+
+
+@pytest.mark.parametrize("bad", [2, -1])
+def test_contains_rejects_an_index_outside_the_dimension(bad):
+    s = span([{0: ONE}], 2)
+    with pytest.raises(MalformedInputError, match=rf"vector index {bad} is out of range"):
+        s.contains({0: ONE, bad: ONE})
+
+
 def test_sum_of_subspaces():
     e1 = span([{0: ONE}], 2)
     e2 = span([{1: ONE}], 2)

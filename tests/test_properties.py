@@ -8,6 +8,7 @@ from gradedrings import (
     GradedRing,
     GroupSignature,
     RandomRingParams,
+    MalformedInputError,
     Scalar,
     annihilator,
     banded_ring,
@@ -272,6 +273,14 @@ def test_unequal_diagonal_gram_keeps_coherence(band2):
 
 def test_closure_of_zero_is_zero(band3):
     assert ideal_closure(band3, {}).dim == 0
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_closure_rejects_an_index_outside_the_dimension(band3, bad):
+    # a vector with index 0, a generator, would otherwise close to the whole ring
+    message = rf"vector index {bad} is out of range for dimension 9"
+    with pytest.raises(MalformedInputError, match=message):
+        ideal_closure(band3, {0: ONE, bad: ONE}, generators=frozenset({0}))
 
 
 def test_closure_of_any_unit_fills_a_one_band_ring(band3):

@@ -107,6 +107,13 @@ def test_unattained_component_is_zero(band2):
     assert band2.component(g).dim == 0
 
 
+@pytest.mark.parametrize("bad", [9, 4, -1])
+def test_homogeneous_parts_rejects_an_index_outside_the_dimension(band2, bad):
+    message = rf"vector index {bad} is out of range for dimension 4"
+    with pytest.raises(MalformedInputError, match=message):
+        band2.homogeneous_parts({0: ONE, bad: ONE})
+
+
 def test_component_dimensions_partition_the_basis(band3x2):
     total = sum(band3x2.component(g).dim for g in band3x2.attained_degrees())
     assert total == band3x2.dim
@@ -301,12 +308,59 @@ def plant_defects(ring, rng):
     return GradedRing(ring.signature, ring.degrees, planted, ring.grams, ring.labels)
 
 
+def identity_basis_change(ring, k, combo):
+    """The same ring in the basis where e_k is replaced by the combination
+    ``combo`` ({t: scalar}, combo[k] != 0) of basis vectors of e_k's degree.
+    The grading and the Grams are unchanged, but a product that had e_k as
+    a term now has several terms."""
+    ck = combo[k]
+
+    def coordinates(w):
+        # e_k = (e'_k - sum over t != k of combo[t] e_t) / combo[k]
+        out = dict(w)
+        x = out.pop(k, None)
+        if x is not None:
+            add_scaled(out, x / ck, [(k, ONE)])
+            add_scaled(out, -x / ck, [(t, c) for t, c in combo.items() if t != k])
+        return out
+
+    n = ring.dim
+    basis = [{i: ONE} for i in range(n)]
+    basis[k] = dict(combo)
+    structure = {}
+    for i in range(n):
+        for j in range(n):
+            w = coordinates(ring.multiply(basis[i], basis[j]))
+            if w:
+                structure[(i, j)] = sorted(w.items())
+    return GradedRing(ring.signature, ring.degrees, structure, ring.grams, ring.labels)
+
+
+UNIT = Scalar(1, 1)  # 1 + i
+
+# banded (n, 1) with E22 replaced by a combination of identity-degree units:
+# E21 E12 = E22 then has two terms, so the greedy generator walk can no
+# longer reach e'_22 and takes it as a generator; the Gaussian variants put
+# coefficients in Q(i) into the structure constants
+NON_MONOMIAL = {
+    "banded-2-1-e22": (2, 3, {0: ONE, 3: ONE}),
+    "banded-3-1-e22": (3, 4, {4: ONE, 8: ONE}),
+    "banded-2-1-e22-gaussian": (2, 3, {0: UNIT, 3: UNIT}),
+    "banded-3-1-e22-gaussian": (3, 4, {4: UNIT, 8: ONE}),
+}
+NON_MONOMIAL_BASES = [
+    (name, lambda n=n, k=k, combo=combo: identity_basis_change(
+        banded_ring(BandedRingParams(n, 1)), k, combo))
+    for name, (n, k, combo) in NON_MONOMIAL.items()
+]
+
 ASSOCIATIVITY_BASES = (
     [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
      for n, r in [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)]]
     + [(f"group-{'x'.join(map(str, t))}", lambda t=t: group_algebra(GroupSignature(0, t)))
        for t in [(2,), (5,), (2, 3), (2, 2)]]
     + [(f"random-{seed}", lambda seed=seed: random_ring(seed)) for seed in range(12)]
+    + NON_MONOMIAL_BASES
 )
 
 
@@ -325,6 +379,86 @@ def test_sparse_associativity_check_matches_dense_reference(make):
         assert report.violations == expected
         found += len(expected)
     assert found
+
+
+@pytest.mark.parametrize("name", sorted(NON_MONOMIAL))
+def test_non_monomial_bases_validate_with_more_generators(name):
+    n, _, _ = NON_MONOMIAL[name]
+    ring = dict(NON_MONOMIAL_BASES)[name]()
+    assert ring.validate().ok
+    assert any(len(entries) > 1 for entries in ring.structure.values())
+    monomial = banded_ring(BandedRingParams(n, 1))
+    assert len(ring._associativity_middles()) > len(monomial._associativity_middles())
+
+
+@pytest.mark.parametrize(
+    "make, generators",
+    [
+        (lambda: banded_ring(BandedRingParams(6, 1)), 11),
+        (lambda: banded_ring(BandedRingParams(32, 1)), 63),
+        (lambda: banded_ring(BandedRingParams(12, 12)), 276),
+        (lambda: group_algebra(GroupSignature(0, (6, 6, 6))), 4),
+    ],
+    ids=["banded-6-1", "banded-32-1", "banded-12-12", "group-6x6x6"],
+)
+def test_associativity_generator_counts(make, generators):
+    # banded (n, r): per band the first row and the first column; Z/6^3:
+    # the identity and one generator per cyclic factor
+    assert len(make()._associativity_middles()) == generators
+
+
+@pytest.mark.parametrize(
+    "make, triples",
+    [
+        # 63 middles, each with 32 left factors and 32 right factors
+        (lambda: banded_ring(BandedRingParams(32, 1)), 63 * 32 * 32),
+        # 4 middles, every product nonzero
+        (lambda: group_algebra(GroupSignature(0, (6, 6, 6))), 4 * 216 * 216),
+    ],
+    ids=["banded-32-1", "group-6x6x6"],
+)
+def test_validate_checks_only_the_generator_triples(make, triples, monkeypatch):
+    """On these rings every checked triple costs one add_scaled for each
+    side, so the calls count the triples; the exhaustive loop checks 32^4
+    and 216^3 of them."""
+    ring = make()
+    calls = []
+
+    def counting(v, c, entries):
+        calls.append(None)
+        add_scaled(v, c, entries)
+
+    monkeypatch.setattr("gradedrings.ring.add_scaled", counting)
+    report = ViolationReport()
+    ring._check_associativity(report)
+    assert report.ok
+    assert len(calls) == 2 * triples
+
+
+def test_a_product_with_several_terms_reaches_no_coordinate():
+    """a a = f = b + c, and f annihilates the ring, so a generates only
+    span(a, f) and every triple with middle a holds.  The product is not
+    associative: (b b) b = d b = 0 but b (b b) = b d = c.  A walk that took
+    b as reached from a a would check middle a alone and miss it."""
+    sig = GroupSignature(0, ())
+    m = Scalar(-1)
+    structure = {
+        (0, 0): [(1, ONE), (2, ONE)],  # a a = b + c
+        (1, 1): [(3, ONE)],  # b b = d
+        (1, 3): [(2, ONE)],  # b d = c
+        (1, 2): [(3, m)],
+        (2, 1): [(3, m)],
+        (2, 2): [(3, ONE)],
+        (2, 3): [(2, m)],
+    }
+    ring = GradedRing(sig, [()] * 4, structure, [identity_gram(4)], ["a", "b", "c", "d"])
+    assert ring._associativity_middles() == [0, 1]
+    only_a = ViolationReport()
+    ring._associativity_triples(only_a, [0])
+    assert only_a.ok
+    violations = ring.validate().violations
+    assert violations == dense_associativity_violations(ring)
+    assert ("associativity", (1, 1, 1)) in [(v.kind, v.where) for v in violations]
 
 
 def plant_zero_products(ring, rng):

@@ -15,15 +15,18 @@ from .connections import (
     ConnectionPath,
     connected,
     connection_classes,
+    is_support_multiplicative,
     is_symmetric_support,
     verify_certificate,
 )
 from .decomposition import (
+    CoherenceReport,
     IdealDecomposition,
     class_ideal,
     decompose,
     identity_complement,
     identity_products_span,
+    is_coherent,
     is_graded_ideal,
 )
 from .errors import (
@@ -51,12 +54,10 @@ from .linalg import (
     joint_orthogonal_complement,
     nullspace,
     pairing,
-    psd_check,
     psd_counterexample,
     span,
 )
 from .properties import (
-    CoherenceReport,
     OracleResult,
     PropertyReport,
     annihilator,
@@ -64,9 +65,7 @@ from .properties import (
     graded_simple_theorem,
     ideal_closure,
     induced_subring,
-    is_coherent,
     is_maximal_length,
-    is_support_multiplicative,
     properties_report,
     theorem_hypotheses,
 )

@@ -155,20 +155,15 @@ def _analyze(args) -> int:
         elif args.command == "decompose":
             dec = decompose(ring)
             report["decomposition"] = rpt.decomposition_section(dec)
-            failed = not (
-                dec.covers
-                and dec.pairwise_zero
-                and (dec.orthogonal_ideals or not dec.coherent)
-            )
+            # decompose raises on the annihilation and orthogonality checks
+            failed = not dec.covers
         else:  # properties, simple
             samples = _env_int(args.oracle_samples, "GRADED_SAMPLES", 8)
             seed = _env_int(args.seed, "GRADED_SEED", 0)
             props = properties_report(ring, oracle_samples=samples, oracle_seed=seed)
             report["properties"] = rpt.properties_section(props)
-            conclusive = (
-                props.simple_by_theorem is not None and props.simple_by_oracle is not None
-            )
-            failed = conclusive and props.simple_by_theorem != props.simple_by_oracle
+            theorem, oracle = props.simple_by_theorem, props.oracle.verdict
+            failed = theorem is not None and oracle is not None and theorem != oracle
 
     if args.timing:
         report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}

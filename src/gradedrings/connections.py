@@ -1,4 +1,5 @@
-"""The connection relation on the support and its equivalence classes.
+"""The connection relation on the support, its equivalence classes, and
+the support-multiplicative hypothesis, which reads the same support steps.
 
 Two support elements g, h are connected when there is a finite sequence
 g_1, ..., g_n drawn from the symmetrized support (support union its
@@ -14,9 +15,9 @@ symmetrized-support element.  The final step is exempt from the prefix
 constraint and only has to land in {h, h^-1}, also in the symmetrized
 support; so the search walks only the steps g x with g, x and g x in it,
 which ``_symmetrized`` composes once per ring for the search and for
-:func:`~gradedrings.properties.is_support_multiplicative`.  Steps are tried
-in ascending lexicographic order of exponent vectors so the certificate
-found is deterministic.
+:func:`is_support_multiplicative`.  Steps are tried in ascending
+lexicographic order of exponent vectors so the certificate found is
+deterministic.
 
 Certificates store the sequence g_1, ..., g_n itself, not the prefix
 products, and :func:`verify_certificate` rechecks the definition from
@@ -58,12 +59,15 @@ class ConnectionClasses:
     """
 
     blocks: tuple[tuple[Element, ...], ...]
-    representatives: tuple[Element, ...]
     certificates: MappingProxyType[Element, ConnectionPath] = field(repr=False)
 
     @property
     def count(self) -> int:
         return len(self.blocks)
+
+    @property
+    def representatives(self) -> tuple[Element, ...]:
+        return tuple([block[0] for block in self.blocks])
 
 
 @derived
@@ -89,13 +93,10 @@ def _symmetrized(ring: GradedRing):
     return closure, MappingProxyType({g: tuple(s) for g, s in steps.items()})
 
 
-def _bfs(ring: GradedRing, start: Element, targets=None):
-    """Walk prefix products from ``start``.
-
-    With ``targets`` given, stop as soon as a product (final step included)
-    lands in ``targets`` and return the element trail; otherwise exhaust the
-    reachable states and return the parent map.
-    """
+def _bfs(ring: GradedRing, start: Element):
+    """Exhaust the prefix products reachable from ``start``; return the
+    parent map, in the order the states were discovered, and ``trail``,
+    which gives the element sequence that reaches a state."""
     _, steps = _symmetrized(ring)
     parent: dict[Element, tuple[Element, Element] | None] = {start: None}
 
@@ -111,25 +112,22 @@ def _bfs(ring: GradedRing, start: Element, targets=None):
             cur = prev[0]
         return tuple(reversed(out))
 
-    if targets is not None and start in targets:
-        return trail(start)
     queue = deque([start])
     while queue:
         state = queue.popleft()
         for x, nxt in steps[state]:
-            if targets is not None and nxt in targets:
-                return trail(state) + (x,)
             if nxt not in parent:
                 parent[nxt] = (state, x)
                 queue.append(nxt)
-    return None if targets is not None else (parent, trail)
+    return parent, trail
 
 
 def connected(ring: GradedRing, g: Element, h: Element):
     """A verified ConnectionPath from g to h, or None when not connected.
 
-    Both endpoints must lie in the support.  The returned path has minimal
-    length among paths found by the breadth-first search order.
+    Both endpoints must lie in the support.  The path leads to whichever of
+    h and h^-1 the breadth-first search discovered first, so it has minimal
+    length.
     """
     sig = ring.signature
     sup = ring.support()
@@ -137,10 +135,10 @@ def connected(ring: GradedRing, g: Element, h: Element):
     h = sig.element(h)
     if g not in sup or h not in sup:
         raise PreconditionError("both endpoints must lie in the support")
-    elements = _bfs(ring, g, targets={h, sig.invert(h)})
-    if elements is None:
-        return None
-    return ConnectionPath(elements, g, h)
+    targets = {h, sig.invert(h)}
+    parent, trail = _bfs(ring, g)
+    reached = next((state for state in parent if state in targets), None)
+    return None if reached is None else ConnectionPath(trail(reached), g, h)
 
 
 def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
@@ -178,13 +176,13 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
     """Partition the support into connection classes with certificates.
 
     Classes are discovered by breadth-first searches started from the least
-    unassigned element, so the result is independent of basis order.
+    unassigned element, so the result is independent of basis order, and
+    that element is the first of its block.
     """
     sup = ring.sorted_support()
     inverse = ring.degree_table().inverse
     assigned: set[Element] = set()
     blocks = []
-    reps = []
     certificates: dict[Element, ConnectionPath] = {}
     for g in sup:
         if g in assigned:
@@ -207,8 +205,29 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
             )
         assigned.update(members)
         blocks.append(tuple(members))
-        reps.append(g)
-    return ConnectionClasses(tuple(blocks), tuple(reps), MappingProxyType(certificates))
+    return ConnectionClasses(tuple(blocks), MappingProxyType(certificates))
+
+
+@derived
+def is_support_multiplicative(ring: GradedRing):
+    """Check that E_g E_h + E_h E_g is nonzero whenever g is in the support,
+    h is in the support or the identity, and g h is again in the support.
+
+    Returns (True, None) or (False, (g, h)) with the first failing pair in
+    ascending lexicographic degree order.  E_g E_h is nonzero exactly when
+    some structure key (i, j) has deg e_i = g and deg e_j = h.  The h to
+    try are the identity and the h of the support steps (h, g h) of g.
+    """
+    _, steps = _symmetrized(ring)
+    sup = ring.support()
+    n, degrees = ring.dim, ring.degrees
+    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
+    one = ring.identity_degree()
+    for g in ring.sorted_support():
+        for h in sorted([one] + [h for h, gh in steps[g] if h in sup and gh in sup]):
+            if (g, h) not in nonzero and (h, g) not in nonzero:
+                return False, (g, h)
+    return True, None
 
 
 @derived

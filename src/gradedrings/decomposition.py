@@ -17,7 +17,8 @@ One private body, ``_class_parts``, builds all three for both
 Together with an orthogonal complement of the span of *all* products of
 inverse-degree components inside the identity component, the class ideals
 cover the whole ring.  Under a coherent identity component the ideals are
-even pairwise orthogonal with respect to every Gram.
+even pairwise orthogonal with respect to every Gram.  Coherence is decided
+here too (:func:`is_coherent`), from the same inverse-degree products.
 """
 
 from __future__ import annotations
@@ -135,6 +136,79 @@ def identity_complement(ring: GradedRing) -> tuple[Subspace, bool]:
     return u, exact
 
 
+@dataclass(frozen=True)
+class CoherenceReport:
+    """Outcome of the coherence check on the identity component."""
+
+    span_ok: bool
+    pairing_failures: tuple[tuple[Element, Element, int], ...] = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.span_ok and not self.pairing_failures
+
+
+@derived
+def is_coherent(ring: GradedRing) -> CoherenceReport:
+    """Coherence of the identity component.
+
+    Two conjuncts: (a) the span of all products of inverse-degree
+    components equals the identity component; (b) for all support elements
+    g, h and every Gram, the pairing between the product spaces
+    P_g = E_g E_{g^-1} and P_h vanishes identically exactly when the
+    pairing between E_g and P_h E_g does.  The compatibility is checked at
+    subspace level (a vanishing biconditional), which is the strength the
+    orthogonal-decomposition theorem actually uses.  Failures are listed
+    as (g, h, Gram index) in ascending order.
+
+    Only the pairings that can be nonzero are evaluated:
+
+    * P_g depends on g only through the subspace it is, and many g share
+      one (in a banded ring every a(n, m) gives the line of a(n, n)), so
+      each distinct P_g is built once and the left side is decided once
+      per pair of distinct spans.  The right side depends on h only
+      through P_h, so it is decided once per g and distinct P_h.
+    * P_h E_g is spanned by products e_i e_j with i in supp P_h and e_j of
+      degree g; when no such (i, j) is a structure key it is zero, pairs to
+      zero with everything, and is not built.
+    * A pairing of two subspaces is evaluated only where a Gram row of one
+      support meets the other (:func:`~gradedrings.linalg.pairing_vanishes`).
+    """
+    sup = ring.sorted_support()
+    span_ok = identity_spanned_by_products(ring)
+
+    spans: list[Subspace] = []  # the distinct P_g
+    span_of: dict[Element, int] = {}
+    known: dict[Subspace, int] = {}  # P_g -> its index in spans
+    for g, p in inverse_products(ring).items():
+        if p not in known:
+            known[p] = len(spans)
+            spans.append(p)
+        span_of[g] = known[p]
+    reach = [ring.right_reach(p.support()) for p in spans]
+    grams = ring.grams
+    # per pair of distinct spans, per Gram: whether the left side vanishes
+    lhs_zero = [
+        [tuple([pairing_vanishes(p, q, gram) for gram in grams]) for q in spans] for p in spans
+    ]
+
+    failures = []
+    for g in sup:
+        component = ring.component(g)
+        indices = ring.indices_of_degree(g)
+        failing = []  # per distinct P_h, the Grams where the two sides disagree
+        for q, lhs, reached in zip(spans, lhs_zero[span_of[g]], reach):
+            if reached.isdisjoint(indices):
+                rhs = (True,) * len(grams)
+            else:
+                rhs_space = ring.product_span(q, component)
+                rhs = tuple([pairing_vanishes(component, rhs_space, gram) for gram in grams])
+            failing.append([a for a, zero in enumerate(lhs) if zero != rhs[a]])
+        if any(failing):
+            failures.extend((g, h, a) for h in sup for a in failing[span_of[h]])
+    return CoherenceReport(span_ok, tuple(failures))
+
+
 @dataclass
 class IdealDecomposition:
     """Everything the covering theorem produces for one ring."""
@@ -199,8 +273,6 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         raise TheoremViolationError("ideals of distinct classes do not annihilate")
     if exact and not covers:
         raise TheoremViolationError("complement and class ideals fail to cover the ring")
-
-    from .properties import is_coherent  # local import, properties depends on this module
 
     coherence = is_coherent(ring)
     if coherence.ok and not orthogonal:

@@ -233,13 +233,15 @@ def _signature_embedding(sig_a: GroupSignature, sig_b: GroupSignature, common, f
     return embed
 
 
+MAX_SUMMANDS = 3  # random_ring composes at most this many summands
+PRIME_POOL = 40  # and draws the primes of its banded summands from this many
+
+
 @dataclass(frozen=True)
 class RandomRingParams:
-    """Size knobs for :func:`random_ring`."""
+    """Size knob for :func:`random_ring`."""
 
     max_dim: int = 24
-    max_summands: int = 3
-    prime_pool: int = 40
 
     def __post_init__(self):
         if self.max_dim < 2:
@@ -253,10 +255,10 @@ def random_ring(seed: int, params: RandomRingParams = RandomRingParams()) -> Gra
     associative by construction and the direct sum keeps them so).
     """
     rng = random.Random(seed)
-    pool = first_primes(params.prime_pool)
+    pool = first_primes(PRIME_POOL)
     budget = params.max_dim
     summands = []
-    for _ in range(rng.randint(1, params.max_summands)):
+    for _ in range(rng.randint(1, MAX_SUMMANDS)):
         if budget < 2:
             break
         kind = rng.choice(("banded", "banded", "banded", "group"))

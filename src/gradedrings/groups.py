@@ -11,8 +11,8 @@ and ``invert`` run it on their arguments.  A ring keeps its degrees as given;
 ``validate`` reports the ones that are not canonical, its degree table checks
 each attained degree once, and past that table the library assumes canonical
 degrees and uses the unchecked ``compose_canonical`` and ``invert_canonical``.
-The products of support degrees are composed in one place,
-``connections._symmetrized``, once per ring.
+The products of support degrees are composed once per ring, in one place:
+the support-step table of :mod:`gradedrings.connections`.
 
 >>> sig = GroupSignature(free_rank=1, torsion=(3,))
 >>> sig.compose((2, 2), (1, 2))

@@ -22,9 +22,9 @@ Dense rows exist only as text, where a report or spec file is written
 A Gram matrix is held as a read-only :class:`Gram`: one sparse row
 ``{j: nonzero Scalar}`` per row, plus a flag recording whether the input
 was square.  The functions that take a Gram (:func:`pairing`,
-:func:`pairing_vanishes`, :func:`is_hermitian`, :func:`psd_counterexample`,
-:func:`psd_check` and :func:`joint_orthogonal_complement`) take a
-:class:`Gram` and visit only its nonzero entries.
+:func:`pairing_vanishes`, :func:`is_hermitian`, :func:`psd_counterexample`
+and :func:`joint_orthogonal_complement`) take a :class:`Gram` and visit
+only its nonzero entries.
 
 Pairings against a Gram matrix G use the convention
 
@@ -295,7 +295,7 @@ def add_scaled(v: dict[int, Scalar], c: Scalar, entries) -> None:
     entries that cancel are deleted, so v stays free of zeros.  When c is
     one, the entries of w are stored as they are: scalars are immutable,
     so they can be shared."""
-    one = c == ONE
+    one = c is ONE or c == ONE
     for j, x in entries:
         t = x if one else c * x
         old = v.get(j)
@@ -656,8 +656,3 @@ def psd_counterexample(gram: Gram) -> dict[int, Scalar] | None:
             add_scaled(track[j], m, wp)
             add_scaled(g[j], m, gp)
     return None
-
-
-def psd_check(gram: Gram) -> bool:
-    """True iff the Hermitian form is positive semidefinite (exact)."""
-    return psd_counterexample(gram) is None

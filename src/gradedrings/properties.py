@@ -1,5 +1,10 @@
 """Structural properties and the graded-simplicity machinery.
 
+Last in the analysis chain, this module imports the checks that live with
+their inputs: :func:`is_support_multiplicative` and :func:`is_symmetric_support`
+in :mod:`gradedrings.connections`, :func:`is_coherent` in
+:mod:`gradedrings.decomposition`.
+
 Two independent routes decide graded simplicity:
 
 * the *theorem* route applies the structure-theorem characterization: under
@@ -33,8 +38,8 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .connections import _symmetrized, connection_classes, is_symmetric_support
-from .decomposition import identity_spanned_by_products, inverse_products, is_graded_ideal
+from .connections import connection_classes, is_support_multiplicative, is_symmetric_support
+from .decomposition import CoherenceReport, identity_spanned_by_products, is_coherent, is_graded_ideal
 from .errors import PreconditionError
 from .groups import Element
 from .linalg import (
@@ -46,7 +51,6 @@ from .linalg import (
     full_space,
     nullspace,
     pairing,
-    pairing_vanishes,
 )
 from .ring import GradedRing, derived
 
@@ -56,28 +60,6 @@ def is_maximal_length(ring: GradedRing) -> bool:
     if not ring.indices_of_degree(ring.identity_degree()):
         return False
     return all(len(ring.indices_of_degree(g)) == 1 for g in ring.support())
-
-
-@derived
-def is_support_multiplicative(ring: GradedRing):
-    """Check that E_g E_h + E_h E_g is nonzero whenever g is in the support,
-    h is in the support or the identity, and g h is again in the support.
-
-    Returns (True, None) or (False, (g, h)) with the first failing pair in
-    ascending lexicographic degree order.  E_g E_h is nonzero exactly when
-    some structure key (i, j) has deg e_i = g and deg e_j = h.  The h to
-    try are the identity and the h of the support steps (h, g h) of g.
-    """
-    _, steps = _symmetrized(ring)
-    sup = ring.support()
-    n, degrees = ring.dim, ring.degrees
-    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
-    one = ring.identity_degree()
-    for g in ring.sorted_support():
-        for h in sorted([one] + [h for h, gh in steps[g] if h in sup and gh in sup]):
-            if (g, h) not in nonzero and (h, g) not in nonzero:
-                return False, (g, h)
-    return True, None
 
 
 @derived
@@ -95,79 +77,6 @@ def annihilator(ring: GradedRing) -> Subspace:
             # coordinate k of e_i * v collects v_j * c
             add_scaled(rows.setdefault(("l", i, k), {}), ONE, ((j, c),))
     return nullspace(rows.values(), ring.dim)
-
-
-@dataclass(frozen=True)
-class CoherenceReport:
-    """Outcome of the coherence check on the identity component."""
-
-    span_ok: bool
-    pairing_failures: tuple[tuple[Element, Element, int], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.span_ok and not self.pairing_failures
-
-
-@derived
-def is_coherent(ring: GradedRing) -> CoherenceReport:
-    """Coherence of the identity component.
-
-    Two conjuncts: (a) the span of all products of inverse-degree
-    components equals the identity component; (b) for all support elements
-    g, h and every Gram, the pairing between the product spaces
-    P_g = E_g E_{g^-1} and P_h vanishes identically exactly when the
-    pairing between E_g and P_h E_g does.  The compatibility is checked at
-    subspace level (a vanishing biconditional), which is the strength the
-    orthogonal-decomposition theorem actually uses.  Failures are listed
-    as (g, h, Gram index) in ascending order.
-
-    Only the pairings that can be nonzero are evaluated:
-
-    * P_g depends on g only through the subspace it is, and many g share
-      one (in a banded ring every a(n, m) gives the line of a(n, n)), so
-      each distinct P_g is built once and the left side is decided once
-      per pair of distinct spans.  The right side depends on h only
-      through P_h, so it is decided once per g and distinct P_h.
-    * P_h E_g is spanned by products e_i e_j with i in supp P_h and e_j of
-      degree g; when no such (i, j) is a structure key it is zero, pairs to
-      zero with everything, and is not built.
-    * A pairing of two subspaces is evaluated only where a Gram row of one
-      support meets the other (:func:`~gradedrings.linalg.pairing_vanishes`).
-    """
-    sup = ring.sorted_support()
-    span_ok = identity_spanned_by_products(ring)
-
-    spans: list[Subspace] = []  # the distinct P_g
-    span_of: dict[Element, int] = {}
-    known: dict[Subspace, int] = {}  # P_g -> its index in spans
-    for g, p in inverse_products(ring).items():
-        if p not in known:
-            known[p] = len(spans)
-            spans.append(p)
-        span_of[g] = known[p]
-    reach = [ring.right_reach(p.support()) for p in spans]
-    grams = ring.grams
-    # per pair of distinct spans, per Gram: whether the left side vanishes
-    lhs_zero = [
-        [tuple([pairing_vanishes(p, q, gram) for gram in grams]) for q in spans] for p in spans
-    ]
-
-    failures = []
-    for g in sup:
-        component = ring.component(g)
-        indices = ring.indices_of_degree(g)
-        failing = []  # per distinct P_h, the Grams where the two sides disagree
-        for q, lhs, reached in zip(spans, lhs_zero[span_of[g]], reach):
-            if reached.isdisjoint(indices):
-                rhs = (True,) * len(grams)
-            else:
-                rhs_space = ring.product_span(q, component)
-                rhs = tuple([pairing_vanishes(component, rhs_space, gram) for gram in grams])
-            failing.append([a for a, zero in enumerate(lhs) if zero != rhs[a]])
-        if any(failing):
-            failures.extend((g, h, a) for h in sup for a in failing[span_of[h]])
-    return CoherenceReport(span_ok, tuple(failures))
 
 
 def ideal_closure(
@@ -354,38 +263,26 @@ def induced_subring(ring: GradedRing, sub: Subspace) -> GradedRing:
 
 @dataclass
 class PropertyReport:
-    """Everything the property analysis reports for one ring."""
+    """Everything the property analysis reports for one ring.  The
+    hypotheses' verdicts are read from ``hypotheses``, coherence from
+    ``coherence.ok`` and the oracle's verdict from ``oracle.verdict``."""
 
-    maximal_length: bool
-    support_multiplicative: bool
     support_multiplicative_failure: tuple[Element, Element] | None
     annihilator: Subspace
-    symmetric_support: bool
     symmetry_witness: Element | None
-    coherent: bool
     coherence: CoherenceReport
     hypotheses: Mapping[str, bool]
     simple_by_theorem: bool | None
-    simple_by_oracle: bool | None
     oracle: OracleResult
 
 
 def properties_report(ring: GradedRing, oracle_samples: int = 8, oracle_seed: int = 0) -> PropertyReport:
-    multiplicative, failure = is_support_multiplicative(ring)
-    symmetric, witness = is_symmetric_support(ring)
-    coherence = is_coherent(ring)
-    oracle = graded_simple_oracle(ring, oracle_samples, oracle_seed)
     return PropertyReport(
-        maximal_length=is_maximal_length(ring),
-        support_multiplicative=multiplicative,
-        support_multiplicative_failure=failure,
+        support_multiplicative_failure=is_support_multiplicative(ring)[1],
         annihilator=annihilator(ring),
-        symmetric_support=symmetric,
-        symmetry_witness=witness,
-        coherent=coherence.ok,
-        coherence=coherence,
+        symmetry_witness=is_symmetric_support(ring)[1],
+        coherence=is_coherent(ring),
         hypotheses=theorem_hypotheses(ring),
         simple_by_theorem=graded_simple_theorem(ring),
-        simple_by_oracle=oracle.verdict,
-        oracle=oracle,
+        oracle=graded_simple_oracle(ring, oracle_samples, oracle_seed),
     )

@@ -103,18 +103,19 @@ def _tri(value, none_label: str):
 
 def properties_section(props: PropertyReport) -> dict:
     failure = props.support_multiplicative_failure
+    hypotheses = props.hypotheses
     return {
-        "maximal_length": props.maximal_length,
-        "support_multiplicative": props.support_multiplicative,
+        "maximal_length": hypotheses["maximal_length"],
+        "support_multiplicative": hypotheses["support_multiplicative"],
         "support_multiplicative_failure": None
         if failure is None
         else [_element(failure[0]), _element(failure[1])],
         "annihilator": _subspace(props.annihilator),
-        "symmetric_support": props.symmetric_support,
+        "symmetric_support": hypotheses["symmetric_support"],
         "symmetry_witness": None
         if props.symmetry_witness is None
         else _element(props.symmetry_witness),
-        "coherent": props.coherent,
+        "coherent": props.coherence.ok,
         "coherence": {
             "span_ok": props.coherence.span_ok,
             "pairing_failures": [
@@ -122,9 +123,9 @@ def properties_section(props: PropertyReport) -> dict:
                 for g, h, a in props.coherence.pairing_failures
             ],
         },
-        "theorem_hypotheses": dict(props.hypotheses),
+        "theorem_hypotheses": dict(hypotheses),
         "simple_by_theorem": _tri(props.simple_by_theorem, "hypotheses-not-met"),
-        "simple_by_oracle": _tri(props.simple_by_oracle, "inconclusive"),
+        "simple_by_oracle": _tri(props.oracle.verdict, "inconclusive"),
         "oracle": {
             "closures_tested": props.oracle.closures_tested,
             "reason": props.oracle.reason,

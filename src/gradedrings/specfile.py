@@ -37,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import MalformedInputError, SpecFileError
 from .groups import GroupSignature
-from .linalg import ZERO, Scalar, dense_strings
+from .linalg import ONE, ZERO, Scalar, dense_strings
 from .ring import GradedRing
 
 FORMAT_VERSION = 1
@@ -170,12 +170,15 @@ def _int_field(data: dict, key: str, where: str) -> int:
 
 def _parse_scalar(text, where: str, parsed: dict) -> Scalar:
     """Parse ``text``, which ``parsed`` does not hold, and store it there
-    if it is a ``str``; every zero becomes the shared ``ZERO``, so callers
-    test for zero by identity.  ``Scalar.from_string`` rejects non-strings."""
+    if it is a ``str``; every zero becomes the shared ``ZERO`` and every one
+    the shared ``ONE``, so callers (and ``add_scaled``) test for them by
+    identity.  ``Scalar.from_string`` rejects non-strings."""
     try:
         scalar = Scalar.from_string(text) or ZERO
     except MalformedInputError as exc:
         raise SpecFileError(f"{where}: {exc}") from exc
+    if scalar == ONE:
+        scalar = ONE
     if type(text) is str:
         parsed[text] = scalar
     return scalar

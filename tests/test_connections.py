@@ -1,9 +1,12 @@
+import dataclasses
 import random
+from collections import deque
 
 import pytest
 
 from gradedrings import (
     BandedRingParams,
+    ConnectionClasses,
     ConnectionPath,
     GradedRing,
     GroupSignature,
@@ -16,6 +19,7 @@ from gradedrings import (
     random_ring,
     verify_certificate,
 )
+from gradedrings.connections import _symmetrized
 from conftest import identity_gram
 
 
@@ -280,6 +284,79 @@ def direct_sum_pair():
     from gradedrings import direct_sum
 
     return direct_sum(banded_ring(BandedRingParams(2, 1)), banded_ring(BandedRingParams(2, 1)))
+
+
+# -- one search mode --------------------------------------------------------------
+
+def _early_exit_path(ring, start, targets):
+    """The element trail of the two-mode search ``connected`` used before it
+    shared the exhaustive one: stop at the first product, final step
+    included, that lands in ``targets``; None when none does."""
+    _, steps = _symmetrized(ring)
+    parent = {start: None}
+
+    def trail(state):
+        out = []
+        while parent[state] is not None:
+            state, x = parent[state]
+            out.append(x)
+        out.append(start)
+        return tuple(reversed(out))
+
+    if start in targets:
+        return trail(start)
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for x, nxt in steps[state]:
+            if nxt in targets:
+                return trail(state) + (x,)
+            if nxt not in parent:
+                parent[nxt] = (state, x)
+                queue.append(nxt)
+    return None
+
+
+def _reference_rings():
+    """Banded n 1..4 x r 1..3, random_ring(0..59) and five group algebras:
+    7,761 ordered pairs of support elements."""
+    rings = [banded_ring(BandedRingParams(n, r)) for n in range(1, 5) for r in range(1, 4)]
+    rings += [random_ring(seed) for seed in range(60)]
+    for moduli in [(2, 2), (7,), (8,), (2, 4), (2, 2, 2)]:
+        rings.append(group_algebra(GroupSignature(0, moduli)))
+    return rings
+
+
+REFERENCE_RINGS = _reference_rings()
+
+
+def test_connected_returns_the_early_exit_search_path():
+    pairs = 0
+    for ring in REFERENCE_RINGS:
+        classes = connection_classes(ring)
+        block_of = {g: block for block in classes.blocks for g in block}
+        support = ring.sorted_support()
+        for g in support:
+            for h in support:
+                path = connected(ring, g, h)
+                elements = _early_exit_path(ring, g, {h, ring.signature.invert(h)})
+                if elements is None:
+                    assert path is None, (g, h)
+                else:
+                    assert path == ConnectionPath(elements, g, h), (g, h)
+                assert (path is not None) == (block_of[g] is block_of[h]), (g, h)
+                pairs += 1
+    assert pairs == 7761
+
+
+def test_representatives_are_the_first_element_of_each_block():
+    assert "representatives" not in {f.name for f in dataclasses.fields(ConnectionClasses)}
+    for ring in REFERENCE_RINGS:
+        classes = connection_classes(ring)
+        assert classes.representatives == tuple(b[0] for b in classes.blocks)
+        for block in classes.blocks:
+            assert block[0] == min(block)
+            assert all(classes.certificates[h].source == block[0] for h in block)
 
 
 # -- is_symmetric_support ----------------------------------------------------------

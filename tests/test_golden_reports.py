@@ -2,8 +2,9 @@
 
 ``benchmarks/expected.json`` holds the sha256 of every report the benchmark
 checks.  These tests rebuild the two single-workload reports and the four
-commands on the reference rings ``random_ring(0..39)`` the same way the
-benchmark does, so a change that alters report bytes fails here too.
+commands on every ring of the fleet pool (280 ``random_ring`` seeds), the
+same way the benchmark does: all 1,122 recorded digests.  A change that
+alters report bytes fails here too.
 Reports embed the spec-file path, so the spec files are written at the
 benchmark's relative ``.bench_work/rings/...`` paths, inside a temporary
 working directory.  ``expected.json`` is only read.
@@ -27,7 +28,7 @@ EXPECTED = json.loads(
 REPORT = ".bench_work/report.json"
 FLEET_MAX_DIM = 24
 FLEET_COMMANDS = ("validate", "classes", "decompose", "properties")
-REFERENCE_SEEDS = range(40)
+POOL_SEEDS = sorted(int(seed) for seed in EXPECTED["fleet_pool"])
 
 
 def report_digest(command, spec):
@@ -67,9 +68,10 @@ def test_single_workload_report_is_unchanged(workdir, workload, command, name, n
 
 
 def test_reference_fleet_reports_are_unchanged(workdir):
+    assert len(POOL_SEEDS) == 280
     params = RandomRingParams(max_dim=FLEET_MAX_DIM)
     changed = []
-    for seed in REFERENCE_SEEDS:
+    for seed in POOL_SEEDS:
         recorded = EXPECTED["fleet_pool"][str(seed)]
         ring = random_ring(seed, params)
         assert ring.dim == recorded["dim"]

@@ -16,7 +16,6 @@ from gradedrings import (
     joint_orthogonal_complement,
     nullspace,
     pairing,
-    psd_check,
     psd_counterexample,
     span,
 )
@@ -246,20 +245,20 @@ def _assert_negative_witness(witness, gram):
 
 
 def test_psd_diag_semidefinite():
-    assert psd_check(_diag([1, 0]))
+    assert psd_counterexample(_diag([1, 0])) is None
 
 
 def test_psd_indefinite_matrix():
     # eigenvalues 3 and -1 by hand
     m = _gram([[1, 2], [2, 1]])
-    assert not psd_check(m)
+    assert psd_counterexample(m) is not None
     _assert_negative_witness(psd_counterexample(m), m)
 
 
 def test_psd_positive_definite():
     # leading minors 2 and 3
     m = _gram([[2, 1], [1, 2]])
-    assert psd_check(m)
+    assert psd_counterexample(m) is None
 
 
 def test_psd_zero_diagonal_with_offdiagonal_entry():
@@ -271,16 +270,16 @@ def test_psd_zero_diagonal_with_offdiagonal_entry():
 
 def test_psd_rejects_non_hermitian():
     with pytest.raises(MalformedInputError):
-        psd_check(_gram([[1, 1], [0, 1]]))
+        psd_counterexample(_gram([[1, 1], [0, 1]]))
 
 
 def test_psd_hermitian_complex():
     i = Scalar(0, 1)
     m = _gram([[Scalar(2), i], [-i, Scalar(2)]])
     assert is_hermitian(m)
-    assert psd_check(m)  # eigenvalues 1 and 3
+    assert psd_counterexample(m) is None  # eigenvalues 1 and 3
     m = _gram([[Scalar(1), Scalar(0, 2)], [Scalar(0, -2), Scalar(1)]])
-    assert not psd_check(m)  # eigenvalues -1 and 3
+    assert psd_counterexample(m) is not None  # eigenvalues -1 and 3
     _assert_negative_witness(psd_counterexample(m), m)
 
 
@@ -299,7 +298,7 @@ def test_psd_random_gram_matrices_are_psd():
             for i in range(n)
         ])
         assert is_hermitian(gram)
-        assert psd_check(gram)
+        assert psd_counterexample(gram) is None
 
 
 scalars = st.builds(
@@ -477,7 +476,7 @@ def test_exact_arithmetic_builds_few_fractions(monkeypatch):
     assert 0 < count <= 8100 // 10
     count = 0
     report = properties_report(oracle)
-    assert report.simple_by_theorem is True and report.simple_by_oracle is True
+    assert report.simple_by_theorem is True and report.oracle.verdict is True
     assert 0 < count <= 2840 // 2
 
 
@@ -811,6 +810,6 @@ def test_gram_records_non_square_input():
     assert Gram([]).square and Gram([{}, {1: ONE}]).square
     assert not is_hermitian(Gram([{0: ONE}, {2: ONE}]))
     with pytest.raises(MalformedInputError):
-        psd_check(Gram([{0: ONE}, {2: ONE}]))
+        psd_counterexample(Gram([{0: ONE}, {2: ONE}]))
     with pytest.raises(MalformedInputError):
         Gram([{0: "one"}])

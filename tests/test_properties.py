@@ -186,7 +186,7 @@ def test_properties_work_is_sized_to_its_answer(monkeypatch):
     for name in ("multiply_basis_left", "multiply_basis_right"):
         monkeypatch.setattr(GradedRing, name, counted(getattr(GradedRing, name), "products"))
     report = properties_report(ring)
-    assert report.simple_by_theorem is False and report.simple_by_oracle is False
+    assert report.simple_by_theorem is False and report.oracle.verdict is False
     assert 0 < counts["compose"] <= 60 * 61 // 2
     assert 0 < counts["products"] <= 3750 // 10
 
@@ -560,12 +560,13 @@ def test_wedderburn_style_decomposition_on_qualified_rings():
     for seed in range(10):
         ring = random_ring(seed)
         props = properties_report(ring, oracle_samples=0)
+        hyps = props.hypotheses
         qualified = (
-            props.support_multiplicative
-            and props.maximal_length
+            hyps["support_multiplicative"]
+            and hyps["maximal_length"]
             and props.annihilator.is_zero()
-            and props.symmetric_support
-            and props.coherent
+            and hyps["symmetric_support"]
+            and props.coherence.ok
         )
         if not qualified:
             continue
@@ -579,11 +580,11 @@ def test_wedderburn_style_decomposition_on_qualified_rings():
 
 def test_property_report_is_assembled_consistently(band3):
     props = properties_report(band3, oracle_samples=2, oracle_seed=5)
-    assert props.maximal_length and props.support_multiplicative
-    assert props.coherent and props.symmetric_support
+    assert props.hypotheses["maximal_length"] and props.hypotheses["support_multiplicative"]
+    assert props.coherence.ok and props.hypotheses["symmetric_support"]
     assert props.annihilator.dim == 0
     assert props.simple_by_theorem is True
-    assert props.simple_by_oracle is True
+    assert props.oracle.verdict is True
     assert all(props.hypotheses.values())
 
 
@@ -738,7 +739,7 @@ def test_properties_report_decides_each_derived_quantity_once(monkeypatch):
     monkeypatch.setattr(GradedRing, "identity_component", counted)
     ring = banded_ring(BandedRingParams(3, 1))
     props = properties_report(ring, oracle_samples=2)
-    assert props.coherence.span_ok and props.simple_by_theorem and props.simple_by_oracle
+    assert props.coherence.span_ok and props.simple_by_theorem and props.oracle.verdict
     assert props.oracle.reason.startswith("support lines generate everything")
     assert len(calls) == 1
     assert props.hypotheses is theorem_hypotheses(ring)

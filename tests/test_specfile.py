@@ -23,7 +23,7 @@ from gradedrings import (
     ring_to_dict,
     save_ring,
 )
-from gradedrings.linalg import dense_strings
+from gradedrings.linalg import ONE, dense_strings
 from gradedrings.specfile import dumps_json
 
 @pytest.mark.parametrize(
@@ -265,6 +265,36 @@ def test_equal_strings_share_one_scalar():
     ring = loads_ring(dumps_ring(banded_ring(BandedRingParams(2, 1))))
     ones = {id(c) for entries in ring.structure.values() for _, c in entries}
     assert len(ones) == 1
+
+
+def test_parsed_ones_are_the_shared_one():
+    data = base_dict()
+    n = len(data["basis"])
+    data["grams"][0] = [["0/7" if i != j else "3/3" for j in range(n)] for i in range(n)]
+    ring = ring_from_dict(data)
+    assert all(c is ONE for entries in ring.structure.values() for _, c in entries)
+    assert all(x is ONE for row in ring.grams[0].sparse for x in row.values())
+
+
+def test_validating_a_loaded_ring_compares_no_structure_constant_with_one(monkeypatch):
+    """``add_scaled`` tests its factor against the shared ``ONE`` by identity
+    first, so on a loaded banded (5, 3) with weights (1, 2), whose 375
+    structure constants are all one, ``validate`` calls ``Scalar.__eq__``
+    375 times (1,875 when each one was compared by value)."""
+    text = dumps_ring(banded_ring(BandedRingParams(5, 3, None, (Fraction(1), Fraction(2)))))
+    ring = loads_ring(text)
+    calls = 0
+    equal = Scalar.__eq__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(Scalar, "__eq__", counted)
+    assert ring.validate().ok
+    assert len(ring.structure) == 375
+    assert calls == 375
 
 
 @pytest.mark.parametrize("spot", ["dense", "structure"])

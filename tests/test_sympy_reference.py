@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from gradedrings import Scalar, nullspace, psd_check, psd_counterexample, span
+from gradedrings import Scalar, nullspace, psd_counterexample, span
 from gradedrings.linalg import ZERO, Gram
 
 from conftest import dense_rows, densify, sparse
@@ -143,7 +143,6 @@ def test_psd_decision_matches_principal_minors():
     for g in hermitian_cases():
         expected = psd_by_principal_minors(g)
         gram = Gram([sparse(row) for row in g])
-        assert psd_check(gram) is expected
         witness = psd_counterexample(gram)
         assert (witness is None) is expected
         if witness is not None:

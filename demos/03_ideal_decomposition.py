@@ -6,7 +6,12 @@ homogeneous components.  Ideals of distinct classes annihilate each other,
 and together with an orthogonal complement inside the identity component
 they cover the whole ring.  Here the ring is a direct sum of two bands and
 one annihilating line, so the line survives as the complement.
+
+``decompose`` checks the cross-class products itself and raises if one is
+nonzero; below they are multiplied out once more, every pair of basis rows.
 """
+
+from itertools import permutations
 
 from gradedrings import (
     BandedRingParams,
@@ -15,6 +20,7 @@ from gradedrings import (
     banded_ring,
     decompose,
     direct_sum,
+    is_coherent,
 )
 from gradedrings.linalg import ONE
 
@@ -34,9 +40,15 @@ print()
 print(f"identity complement dimension: {dec.complement.dim} "
       f"(the annihilating line, exact: {dec.complement_exact})")
 print(f"covers the whole ring: {dec.covers}")
-print(f"cross-class products vanish: {dec.pairwise_zero}")
+cross = [
+    ring.multiply(u, v)
+    for first, second in permutations(dec.ideals, 2)
+    for u in first.sparse.values()
+    for v in second.sparse.values()
+]
+print(f"cross-class products vanish: {not any(cross)}")
 print(f"ideals pairwise orthogonal: {dec.orthogonal_ideals}")
-print(f"identity component coherent: {dec.coherent}")
+print(f"identity component coherent: {is_coherent(ring).ok}")
 print()
 print("the complement is nonzero exactly because the extra line never shows")
 print("up in any product, so the identity component is bigger than the span")

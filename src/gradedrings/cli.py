@@ -13,8 +13,7 @@ Subcommands:
     gen random --seed S [--max-dim D] [-o FILE]
 
 Global flags: --report json|text (default text), --out PATH, --timing.
---seed and --oracle-samples fall back to the environment variables
-GRADED_SEED and GRADED_SAMPLES when not given.
+--oracle-samples defaults to 8 and --seed to 0.
 
 Exit codes: 0 when the analysis ran and every requested theorem check
 passed, 1 when the analysis ran but some check failed (details are in the
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 from fractions import Fraction
@@ -38,19 +36,6 @@ from .generators import BandedRingParams, RandomRingParams, banded_ring, direct_
 from .groups import GroupSignature
 from .properties import properties_report
 from .specfile import dumps_ring, load_ring
-
-
-def _env_int(given: int | None, name: str, default: int) -> int:
-    """``given``; when it is None, environment variable ``name``, else ``default``."""
-    if given is not None:
-        return given
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecFileError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
 def _parse_list(flag: str, text: str, convert) -> tuple:
@@ -86,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("properties", "simple"):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file")
-        p.add_argument("--oracle-samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--oracle-samples", type=int, default=8)
+        p.add_argument("--seed", type=int, default=0)
 
     gen = sub.add_parser("gen").add_subparsers(dest="generator", required=True)
 
@@ -109,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     gsum.add_argument("-o", "--output", default=None)
 
     grandom = gen.add_parser("random")
-    grandom.add_argument("--seed", type=int, default=None)
+    grandom.add_argument("--seed", type=int, default=0)
     grandom.add_argument("--max-dim", type=int, default=24)
     grandom.add_argument("-o", "--output", default=None)
 
@@ -133,6 +118,15 @@ def _write(path, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _load_valid(path):
+    """The ring in ``path``; one that fails validation is malformed input."""
+    ring = load_ring(path)
+    if violations := ring.validate().violations:
+        first = violations[0]
+        raise SpecFileError(f"{path}: [{first.kind}] at {first.where}: {first.detail}")
+    return ring
+
+
 def _analyze(args) -> int:
     started = time.perf_counter()
     ring = load_ring(args.file)
@@ -154,13 +148,11 @@ def _analyze(args) -> int:
             )
         elif args.command == "decompose":
             dec = decompose(ring)
-            report["decomposition"] = rpt.decomposition_section(dec)
+            report["decomposition"] = rpt.decomposition_section(ring, dec)
             # decompose raises on the annihilation and orthogonality checks
             failed = not dec.covers
         else:  # properties, simple
-            samples = _env_int(args.oracle_samples, "GRADED_SAMPLES", 8)
-            seed = _env_int(args.seed, "GRADED_SEED", 0)
-            props = properties_report(ring, oracle_samples=samples, oracle_seed=seed)
+            props = properties_report(ring, oracle_samples=args.oracle_samples, oracle_seed=args.seed)
             report["properties"] = rpt.properties_section(props)
             theorem, oracle = props.simple_by_theorem, props.oracle.verdict
             failed = theorem is not None and oracle is not None and theorem != oracle
@@ -196,12 +188,11 @@ def _generate(args) -> int:
         ring = group_algebra(signature)
         meta = {"generator": "group", "torsion": list(moduli)}
     elif args.generator == "sum":
-        ring = direct_sum(load_ring(args.file_a), load_ring(args.file_b), args.embedding)
+        ring = direct_sum(_load_valid(args.file_a), _load_valid(args.file_b), args.embedding)
         meta = {"generator": "sum", "embedding": args.embedding}
     else:  # random
-        seed = _env_int(args.seed, "GRADED_SEED", 0)
-        ring = random_ring(seed, RandomRingParams(max_dim=args.max_dim))
-        meta = {"generator": "random", "seed": seed, "max_dim": args.max_dim}
+        ring = random_ring(args.seed, RandomRingParams(max_dim=args.max_dim))
+        meta = {"generator": "random", "seed": args.seed, "max_dim": args.max_dim}
     validation = ring.validate()
     if not validation.ok:
         raise TheoremViolationError(

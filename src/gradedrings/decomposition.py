@@ -8,7 +8,8 @@ For a connection class C of the support, three subspaces are built:
 * the component sum: the direct sum of the homogeneous components whose
   degree lies in C,
 * the class ideal: the sum of the previous two.  It is verified to be a
-  graded ideal, and ideals of distinct classes annihilate each other.
+  graded ideal, and ideals of distinct classes to annihilate each other;
+  a failed check raises, so a decomposition records neither outcome.
 
 One private body, ``_class_parts``, builds all three for both
 :func:`class_ideal` and :func:`decompose`, whose ``identity_spans`` and
@@ -18,7 +19,8 @@ Together with an orthogonal complement of the span of *all* products of
 inverse-degree components inside the identity component, the class ideals
 cover the whole ring.  Under a coherent identity component the ideals are
 even pairwise orthogonal with respect to every Gram.  Coherence is decided
-here too (:func:`is_coherent`), from the same inverse-degree products.
+here too (:func:`is_coherent`), from the same inverse-degree products,
+and read from there: a decomposition does not copy it.
 """
 
 from __future__ import annotations
@@ -220,20 +222,19 @@ class IdealDecomposition:
     complement: Subspace
     complement_exact: bool
     covers: bool
-    pairwise_zero: bool
     orthogonal_ideals: bool
-    coherent: bool
 
 
 def decompose(ring: GradedRing) -> IdealDecomposition:
     """Assemble classes, class ideals and the identity complement; verify
     the covering, annihilation and orthogonality statements.
 
-    On a validated ring, a false ``pairwise_zero`` is always a theorem
-    violation, and so is a false ``covers`` whenever the complement is
-    exact.  When the complement is inexact (degenerate Gram family), the
-    covering can genuinely fail and is reported honestly.  Orthogonality of
-    distinct ideals is asserted whenever the identity component is coherent.
+    On a validated ring, a nonzero product of ideals of distinct classes is
+    always a theorem violation, and so is a false ``covers`` whenever the
+    complement is exact.  When the complement is inexact (degenerate Gram
+    family), the covering can genuinely fail and is reported honestly.
+    Orthogonality of distinct ideals is asserted whenever the identity
+    component is coherent.
 
     A pair of ideals is multiplied out only when some structure key (i, j)
     has i in the support of the first and j in the support of the second:
@@ -256,26 +257,23 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
 
     supports = [ideal.support() for ideal in ideals]
     reach = [ring.right_reach(s) for s in supports]
-    pairwise_zero = not any(
+    if any(
         ring.multiply(u, v)
         for a, b in permutations(range(len(ideals)), 2)
         if not reach[a].isdisjoint(supports[b])
         for u in ideals[a].sparse.values()
         for v in ideals[b].sparse.values()
-    )
+    ):
+        raise TheoremViolationError("ideals of distinct classes do not annihilate")
     orthogonal = all(
         pairing_vanishes(ideals[a], ideals[b], gram)
         for a, b in combinations(range(len(ideals)), 2)
         for gram in ring.grams
     )
 
-    if not pairwise_zero:
-        raise TheoremViolationError("ideals of distinct classes do not annihilate")
     if exact and not covers:
         raise TheoremViolationError("complement and class ideals fail to cover the ring")
-
-    coherence = is_coherent(ring)
-    if coherence.ok and not orthogonal:
+    if is_coherent(ring).ok and not orthogonal:
         raise TheoremViolationError(
             "identity component is coherent but the class ideals are not orthogonal"
         )
@@ -288,7 +286,5 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         complement=complement,
         complement_exact=exact,
         covers=covers,
-        pairwise_zero=pairwise_zero,
         orthogonal_ideals=orthogonal,
-        coherent=coherence.ok,
     )

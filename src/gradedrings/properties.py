@@ -68,14 +68,16 @@ def annihilator(ring: GradedRing) -> Subspace:
 
     Computed as the exact kernel of the stacked multiplication operators by
     all basis elements; only the nonzero constraint rows are materialized.
+    Each structure key (i, j) is stored once and lists each k once, with a
+    nonzero constant, so every entry below is set exactly once.
     """
     rows: dict[tuple[str, int, int], dict[int, Scalar]] = {}
     for (i, j), entries in ring.structure.items():
         for k, c in entries:
             # coordinate k of v * e_j collects v_i * c
-            add_scaled(rows.setdefault(("r", j, k), {}), ONE, ((i, c),))
+            rows.setdefault(("r", j, k), {})[i] = c
             # coordinate k of e_i * v collects v_j * c
-            add_scaled(rows.setdefault(("l", i, k), {}), ONE, ((j, c),))
+            rows.setdefault(("l", i, k), {})[j] = c
     return nullspace(rows.values(), ring.dim)
 
 

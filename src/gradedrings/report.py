@@ -8,12 +8,14 @@ formatted.  Serialization goes through :func:`specfile.dumps_json`, which
 writes what ``json.dumps(report, indent=2, sort_keys=True)`` writes; keys
 are sorted, so a report is byte-stable across runs of the same analysis on
 the same input.  The text rendering is a pure function of the JSON report.
+The decomposition section takes ``coherent`` from the memoized
+:func:`~gradedrings.decomposition.is_coherent` of the ring.
 """
 
 from __future__ import annotations
 
 from .connections import ConnectionClasses
-from .decomposition import IdealDecomposition
+from .decomposition import IdealDecomposition, is_coherent
 from .linalg import dense_strings
 from .properties import PropertyReport
 from .ring import GradedRing, ViolationReport
@@ -72,7 +74,7 @@ def classes_section(classes: ConnectionClasses) -> dict:
     return {"count": classes.count, "blocks": blocks}
 
 
-def decomposition_section(dec: IdealDecomposition) -> dict:
+def decomposition_section(ring: GradedRing, dec: IdealDecomposition) -> dict:
     ideals = []
     for block, ideal, one_span, comp_sum in zip(
         dec.classes.blocks, dec.ideals, dec.identity_spans, dec.component_sums
@@ -91,9 +93,10 @@ def decomposition_section(dec: IdealDecomposition) -> dict:
         "complement": _subspace(dec.complement),
         "complement_exact": dec.complement_exact,
         "covers": dec.covers,
-        "pairwise_zero": dec.pairwise_zero,
+        # the only value: decompose raises when distinct class ideals do not annihilate
+        "pairwise_zero": True,
         "orthogonal_ideals": dec.orthogonal_ideals,
-        "coherent": dec.coherent,
+        "coherent": is_coherent(ring).ok,
     }
 
 

@@ -153,16 +153,17 @@ class GradedRing:
         )
         self.grams = tuple([g if isinstance(g, Gram) else Gram(g) for g in grams])
         # index maps used all over the analyses
-        self._by_degree: dict[Element, tuple[int, ...]] = {}
+        by_degree: dict[Element, list[int]] = {}
         for i, d in enumerate(self.degrees):
-            self._by_degree[d] = self._by_degree.get(d, ()) + (i,)
+            by_degree.setdefault(d, []).append(i)
+        self._by_degree = {d: tuple(ix) for d, ix in by_degree.items()}
         # j with (i, j) a structure key, per i; i with (i, j) one, per j;
         # both in structure order
-        self._left_keys: dict[int, tuple[int, ...]] = {}
-        self._right_keys: dict[int, tuple[int, ...]] = {}
+        self._left_keys: dict[int, list[int]] = {}
+        self._right_keys: dict[int, list[int]] = {}
         for (i, j) in self.structure:
-            self._left_keys[i] = self._left_keys.get(i, ()) + (j,)
-            self._right_keys[j] = self._right_keys.get(j, ()) + (i,)
+            self._left_keys.setdefault(i, []).append(j)
+            self._right_keys.setdefault(j, []).append(i)
         self._derived: dict = {}
 
     # -- basic queries -----------------------------------------------------

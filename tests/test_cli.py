@@ -148,6 +148,32 @@ def test_gen_random_rejects_max_dim_below_two(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def z3_spec_with_degree_four():
+    """The group algebra of Z/3 with one degree written as [4], not [1]."""
+    from gradedrings import GroupSignature, group_algebra, ring_to_dict
+
+    data = ring_to_dict(group_algebra(GroupSignature(0, (3,))))
+    data["degrees"][1] = [4]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("kind", ["malformed", "associativity"])
+def test_gen_sum_of_an_invalid_input_exits_two_naming_it(capsys, tmp_path, kind):
+    bad = tmp_path / f"{kind}.json"
+    if kind == "malformed":
+        bad.write_text(z3_spec_with_degree_four())
+    else:
+        save_ring(bad, associativity_defect_ring())
+    good = gen_file(capsys, tmp_path, "b.json", "gen", "banded", "--n", "2", "--r", "1")
+    out_path = tmp_path / "sum.json"
+    for pair in ((str(bad), good), (good, str(bad))):
+        code, out, err = run(capsys, "gen", "sum", *pair, "-o", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad}: [{kind}] at ")
+        assert "theorem check failed" not in err
+        assert not out_path.exists()
+
+
 def test_gen_sum_shared_embedding_collision_exits_two(capsys, tmp_path):
     a = gen_file(capsys, tmp_path, "a.json", "gen", "banded", "--n", "2", "--r", "1")
     code, _, err = run(capsys, "gen", "sum", a, a, "--embedding", "shared")
@@ -181,13 +207,22 @@ def test_timing_section_is_opt_in(capsys, tmp_path):
     assert "timing" in json.loads(out)
 
 
-def test_env_fallbacks(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRADED_SEED", "42")
-    via_env = gen_file(capsys, tmp_path, "env.json", "gen", "random")
-    monkeypatch.delenv("GRADED_SEED")
-    via_flag = gen_file(capsys, tmp_path, "flag.json", "gen", "random", "--seed", "42")
-    with open(via_env) as f1, open(via_flag) as f2:
-        assert f1.read() == f2.read()
+def test_reports_do_not_depend_on_the_environment(capsys, tmp_path, monkeypatch):
+    """The seed and sample count come from the command line or its defaults;
+    no environment variable changes a spec or a report."""
+
+    band = gen_file(capsys, tmp_path, "band.json", "gen", "banded", "--n", "2", "--r", "1")
+
+    def outputs(name):
+        spec = gen_file(capsys, tmp_path, f"{name}.json", "gen", "random")
+        code, report, _ = run(capsys, "--report", "json", "properties", band)
+        assert code == 0
+        return open(spec, "rb").read(), report
+
+    plain = outputs("plain")
+    monkeypatch.setenv("GRADED_SEED", "7")
+    monkeypatch.setenv("GRADED_SAMPLES", "3")
+    assert outputs("env") == plain
 
 
 DEFECTS = [

@@ -115,3 +115,22 @@ def test_result_records_hold_no_field_that_restates_another():
     for name in ("maximal_length", "support_multiplicative", "symmetric_support",
                  "coherent", "simple_by_oracle"):
         assert name not in fields
+    # decompose raises unless the cross-class products vanish, and coherence
+    # is is_coherent(ring).ok
+    fields = {f.name for f in dataclasses.fields(gradedrings.IdealDecomposition)}
+    assert not fields & {"pairwise_zero", "coherent"}
+
+
+def test_no_module_reads_the_environment():
+    """A report depends only on its command line and its input file."""
+    reads = {"environ", "environb", "getenv", "getenvb"}
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names.update(
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names
+        )
+        assert not names & reads, f"{path.stem} reads {sorted(names & reads)}"

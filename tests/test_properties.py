@@ -31,7 +31,9 @@ from gradedrings import (
     span,
     theorem_hypotheses,
 )
-from gradedrings.linalg import ONE, ZERO, pairing
+from gradedrings import linalg, properties
+from gradedrings import ring as ring_module
+from gradedrings.linalg import ONE, ZERO, add_scaled, nullspace, pairing
 
 from conftest import densify, identity_gram, sparse, trivially_graded_zero_ring
 
@@ -207,6 +209,61 @@ def test_annihilating_line_is_found(band2):
     ann = annihilator(ring)
     assert ann.dim == 1
     assert ann.contains({ring.dim - 1: ONE})
+
+
+def old_annihilator_rows(ring):
+    """The constraint rows as annihilator built them by accumulation."""
+    rows = {}
+    for (i, j), entries in ring.structure.items():
+        for k, c in entries:
+            add_scaled(rows.setdefault(("r", j, k), {}), ONE, ((i, c),))
+            add_scaled(rows.setdefault(("l", i, k), {}), ONE, ((j, c),))
+    return [list(row.items()) for row in rows.values()]
+
+
+def annihilator_rings():
+    """Fresh rings, so each computes its annihilator under the test."""
+    return (
+        [banded_ring(BandedRingParams(n, r)) for n in range(1, 5) for r in range(1, 4)]
+        + [group_algebra(GroupSignature(0, t)) for t in [(2,), (3,), (2, 2), (2, 3), (4,)]]
+        + [random_ring(seed) for seed in range(40)]
+    )
+
+
+def test_annihilator_sets_each_row_entry_once(monkeypatch):
+    """Each structure key (i, j) lists each k once, so the rows set directly
+    equal the rows accumulated with add_scaled, entry for entry and in order."""
+    seen = []
+
+    def captured(rows, n):
+        rows = list(rows)
+        seen.append([list(row.items()) for row in rows])
+        return nullspace(rows, n)
+
+    monkeypatch.setattr(properties, "nullspace", captured)
+    for ring in annihilator_rings():
+        annihilator(ring)
+        assert seen.pop() == old_annihilator_rows(ring)
+
+
+def test_annihilator_add_scaled_count(monkeypatch):
+    """Counts, not seconds: on banded (6, 1) annihilator called add_scaled
+    468 times and properties_report 829, when every row entry went through
+    it; the rows are now set directly and only nullspace calls it."""
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return add_scaled(*args)
+
+    for module in (linalg, properties, ring_module):
+        monkeypatch.setattr(module, "add_scaled", counted)
+    annihilator(banded_ring(BandedRingParams(6, 1)))
+    assert count == 36
+    count = 0
+    properties_report(banded_ring(BandedRingParams(6, 1)))
+    assert count == 397
 
 
 def test_annihilator_respects_direct_sums(band2):
@@ -719,8 +776,10 @@ def test_is_coherent_matches_the_dense_loop_on_planted_gram_couplings():
 
 
 def test_coherence_is_computed_once_per_ring(band3x2):
-    assert is_coherent(band3x2) is is_coherent(band3x2)
-    assert decompose(band3x2).coherent == is_coherent(band3x2).ok
+    coherence = is_coherent(band3x2)
+    assert is_coherent(band3x2) is coherence
+    decompose(band3x2)
+    assert is_coherent(band3x2) is coherence
     with pytest.raises(AttributeError):
         is_coherent(band3x2).span_ok = False
 

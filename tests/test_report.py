@@ -38,7 +38,7 @@ def full_report(ring):
         "validation": validation_section(ring.validate()),
         "support": support_section(ring, symmetric, witness),
         "classes": classes_section(connection_classes(ring)),
-        "decomposition": decomposition_section(decompose(ring)),
+        "decomposition": decomposition_section(ring, decompose(ring)),
         "properties": properties_section(properties_report(ring, oracle_samples=1)),
     }
 
@@ -90,7 +90,7 @@ def test_basis_rows_are_the_dense_canonical_rows(ring):
         return [[str(x) for x in densify(row, sub.ambient)] for row in sub.sparse.values()]
 
     dec = decompose(ring)
-    section = decomposition_section(dec)
+    section = decomposition_section(ring, dec)
     assert [ideal["basis"] for ideal in section["ideals"]] == [dense(i) for i in dec.ideals]
     assert section["complement"]["basis"] == dense(dec.complement)
     props = properties_report(ring, oracle_samples=1)

@@ -210,14 +210,14 @@ def test_timing_section_is_opt_in(capsys, tmp_path):
 def test_reports_do_not_depend_on_the_environment(capsys, tmp_path, monkeypatch):
     """The seed and sample count come from the command line or its defaults;
     no environment variable changes a spec or a report."""
-
     band = gen_file(capsys, tmp_path, "band.json", "gen", "banded", "--n", "2", "--r", "1")
 
     def outputs(name):
         spec = gen_file(capsys, tmp_path, f"{name}.json", "gen", "random")
         code, report, _ = run(capsys, "--report", "json", "properties", band)
         assert code == 0
-        return open(spec, "rb").read(), report
+        with open(spec, "rb") as fh:
+            return fh.read(), report
 
     plain = outputs("plain")
     monkeypatch.setenv("GRADED_SEED", "7")

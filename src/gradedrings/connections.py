@@ -15,14 +15,16 @@ symmetrized-support element.  The final step is exempt from the prefix
 constraint and only has to land in {h, h^-1}, also in the symmetrized
 support; so the search walks only the steps g x with g, x and g x in it,
 which ``_symmetrized`` composes once per ring for the search and for
-:func:`is_support_multiplicative`.  Steps are tried in ascending
+:func:`is_support_multiplicative`.  It composes the packed forms of the
+ring's degree table, one int addition per pair, and decodes each product
+by looking it up among the packed elements.  Steps are tried in ascending
 lexicographic order of exponent vectors so the certificate found is
 deterministic.
 
 Certificates store the sequence g_1, ..., g_n itself, not the prefix
 products, and :func:`verify_certificate` rechecks the definition from
-scratch with the checked ``GroupSignature.compose``, independently of the
-steps the search walked.
+scratch on tuples with the checked ``GroupSignature.compose``, so it reads
+neither the packed forms nor the steps the search walked.
 """
 
 from __future__ import annotations
@@ -77,16 +79,20 @@ def _symmetrized(ring: GradedRing):
 
     The group is abelian, so each unordered pair {g, x} with g <= x is
     composed once and its step filed under both; taking g in ascending order
-    keeps each element's steps ascending."""
+    keeps each element's steps ascending.  A pair is composed as the sum of
+    its packed forms, decoded by looking it up among the packed elements of
+    the set."""
     table = ring.degree_table()
-    law = ring.signature.compose_canonical
     closure = table.support.union(table.inverse.values())
     ordered = sorted(closure)
+    packed = [table.packed[g] for g in ordered]
+    decode = dict(zip(packed, ordered)).get
+    reduce = table.packing.reduce
     steps = {g: [] for g in ordered}
     for i, g in enumerate(ordered):
-        for x in ordered[i:]:
-            gx = law(g, x)
-            if gx in closure:
+        pg = packed[i]
+        for x, gx in zip(ordered[i:], map(decode, reduce([pg + p for p in packed[i:]]))):
+            if gx is not None:
                 steps[g].append((x, gx))
                 if x != g:
                     steps[x].append((g, gx))
@@ -215,17 +221,22 @@ def is_support_multiplicative(ring: GradedRing):
 
     Returns (True, None) or (False, (g, h)) with the first failing pair in
     ascending lexicographic degree order.  E_g E_h is nonzero exactly when
-    some structure key (i, j) has deg e_i = g and deg e_j = h.  The h to
-    try are the identity and the h of the support steps (h, g h) of g.
+    some structure key (i, j) has deg e_i = g and deg e_j = h, compared as
+    packed forms.  The h to try are the identity and the h of the support
+    steps (h, g h) of g.
     """
     _, steps = _symmetrized(ring)
     sup = ring.support()
-    n, degrees = ring.dim, ring.degrees
+    packed = ring.degree_table().packed
+    # the degree of each basis element, packed
+    n, degrees = ring.dim, [packed[d] for d in ring.degrees]
     nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
     one = ring.identity_degree()
     for g in ring.sorted_support():
+        pg = packed[g]
         for h in sorted([one] + [h for h, gh in steps[g] if h in sup and gh in sup]):
-            if (g, h) not in nonzero and (h, g) not in nonzero:
+            ph = packed[h]
+            if (pg, ph) not in nonzero and (ph, pg) not in nonzero:
                 return False, (g, h)
     return True, None
 

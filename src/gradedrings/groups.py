@@ -10,9 +10,16 @@ be used directly as dictionary keys.
 and ``invert`` run it on their arguments.  A ring keeps its degrees as given;
 ``validate`` reports the ones that are not canonical, its degree table checks
 each attained degree once, and past that table the library assumes canonical
-degrees and uses the unchecked ``compose_canonical`` and ``invert_canonical``.
-The products of support degrees are composed once per ring, in one place:
-the support-step table of :mod:`gradedrings.connections`.
+degrees and uses the unchecked ``invert_canonical``.
+
+The analyses compose degrees as packed ints, never as tuples: the degree
+table of :mod:`gradedrings.ring` packs each attained degree once with a
+:class:`Packing`, whose free fields are wide enough for the sum of two
+table degrees, and the grading check, the support-step table of
+:mod:`gradedrings.connections` and the support-multiplicative check add
+packed forms.  Tuples are composed only by ``compose``, for checking
+certificates, and by ``compose_canonical`` for generated rings and
+violation details.
 
 >>> sig = GroupSignature(free_rank=1, torsion=(3,))
 >>> sig.compose((2, 2), (1, 2))
@@ -21,13 +28,25 @@ the support-step table of :mod:`gradedrings.connections`.
 (-2, 1)
 >>> sig.identity()
 (0, 0)
+
+Packing is linear, so a packed sum is the packed product; on torsion
+coordinates the sum is then reduced:
+
+>>> free = GroupSignature(free_rank=2)
+>>> pack = free.packing(bound=3).pack
+>>> a, b = (2, -3), (-1, 1)
+>>> pack(a) + pack(b) == pack(free.compose(a, b))
+True
+>>> packing = sig.packing(bound=2)
+>>> packing.reduce([packing.pack((2, 2)) + packing.pack((1, 2))]) == [packing.pack((3, 1))]
+True
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import add, neg
+from operator import add, lshift, neg
 
 from .errors import MalformedInputError, PreconditionError
 
@@ -103,6 +122,21 @@ class GroupSignature:
     def invert(self, a) -> Element:
         return self.invert_canonical(self.element(a))
 
+    def packing(self, bound: int) -> Packing:
+        """The packing of the canonical elements whose free coordinates are
+        at most ``bound`` in absolute value."""
+        k = (max(self.torsion, default=1) - 1).bit_length()
+        offsets = [(k + 1) * j for j in range(len(self.torsion))]
+        width = (2 * bound).bit_length() + 1  # of a free field
+        above = (k + 1) * len(offsets)
+        return Packing(
+            torsion_width=k + 1,
+            offsets=tuple([above + width * i for i in range(self.free_rank)] + offsets),
+            bias=sum([((1 << k) - m) << o for m, o in zip(self.torsion, offsets)]),
+            carries=sum([1 << (k + o) for o in offsets]),
+            moduli=sum([m << o for m, o in zip(self.torsion, offsets)]),
+        )
+
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
@@ -120,3 +154,45 @@ class GroupSignature:
         if not self.is_finite():
             raise PreconditionError("cannot enumerate an infinite group")
         return list(itertools.product(*[range(m) for m in self.torsion]))
+
+
+@dataclass(frozen=True)
+class Packing:
+    """Canonical elements of a signature whose free coordinates are at most
+    a bound in absolute value, as Python ints whose sum is the group law.
+
+    Each coordinate has a field of bits, from its offset: the torsion
+    coordinates the low fields, ``torsion_width`` bits each, and the free
+    coordinates the fields above, as signed digits.  pack(a) is the sum of
+    a's coordinates each times 2**(its offset), so pack(a) + pack(b) has
+    the digits a_i + b_i.  A free field holds every integer of absolute
+    value below 2**(width - 1), which exceeds twice the bound, and an int
+    has one expansion in such digits; so the free part of pack(a) + pack(b)
+    is pack(c)'s exactly when c's free coordinates are a's plus b's.  A
+    torsion digit sum stays below 2m, in its field, and :meth:`reduce`
+    subtracts m from each field where it reached m: there, and only there,
+    adding 2**k - m carries into bit k of the field, where 2**k >= m and
+    the field is k + 1 bits wide."""
+
+    torsion_width: int
+    offsets: tuple[int, ...]  # of each coordinate's field, in element order
+    bias: int  # 2**k - m in each torsion field
+    carries: int  # bit k of each torsion field
+    moduli: int  # m in each torsion field
+
+    def pack(self, a: Element) -> int:
+        """The packed form of a canonical element within the bound."""
+        return sum(map(lshift, a, self.offsets))
+
+    def reduce(self, sums: list[int]) -> list[int]:
+        """The packed products, given the sums of pairs of packed elements;
+        ``sums`` itself when there is no torsion to reduce."""
+        if not self.carries:
+            return sums
+        bias, carries, moduli = self.bias, self.carries, self.moduli
+        k = self.torsion_width - 1
+        mask = (1 << carries.bit_length()) - 1  # the torsion fields
+        # one bit at the bottom of each field that carried, times a field
+        # of ones, selects those fields of ``moduli``
+        ones = (1 << self.torsion_width) - 1
+        return [s - ((((s & mask) + bias & carries) >> k) * ones & moduli) for s in sums]

@@ -29,10 +29,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 from .errors import MalformedInputError
-from .groups import Element, GroupSignature
+from .groups import Element, GroupSignature, Packing
 from .linalg import (
     ONE,
     EchelonBasis,
@@ -84,11 +85,21 @@ class DegreeTable:
 
     ``inverse`` maps each canonical non-identity degree, ascending, to its
     inverse and ``support`` holds the same degrees; ``malformed`` lists the
-    basis indices whose degree is not canonical."""
+    basis indices whose degree is not canonical.  ``packed`` maps the
+    identity, each canonical degree and each inverse to its form under
+    ``packing``, whose bound is the largest absolute free coordinate among
+    them, so the analyses compose degrees by adding packed forms."""
 
     support: frozenset[Element]
     inverse: Mapping[Element, Element]
     malformed: tuple[int, ...]
+    packing: Packing
+    packed: Mapping[Element, int]
+
+
+def _terms(v: dict[int, Scalar]) -> str:
+    """A sparse vector as text: ``0``, or its terms ``c ek``, k ascending."""
+    return " + ".join([f"{c} e{k}" for k, c in sorted(v.items())]) or "0"
 
 
 def derived(fn):
@@ -197,9 +208,18 @@ class GradedRing:
             if not canonical[key]:
                 malformed.append(i)
         one = sig.identity()
-        good = {d for (d, _), ok in canonical.items() if ok and d != one}
-        inverse = {g: sig.invert_canonical(g) for g in sorted(good)}
-        return DegreeTable(frozenset(inverse), MappingProxyType(inverse), tuple(malformed))
+        good = {d for (d, _), ok in canonical.items() if ok}
+        inverse = {g: sig.invert_canonical(g) for g in sorted(good) if g != one}
+        r = sig.free_rank
+        packing = sig.packing(max(map(abs, chain.from_iterable([d[:r] for d in good])), default=0))
+        packed = {d: packing.pack(d) for d in [one, *good, *inverse.values()]}
+        return DegreeTable(
+            frozenset(inverse),
+            MappingProxyType(inverse),
+            tuple(malformed),
+            packing,
+            MappingProxyType(packed),
+        )
 
     def degree_table(self) -> DegreeTable:
         """The degree table, or MalformedInputError on a degree not canonical."""
@@ -315,17 +335,22 @@ class GradedRing:
                 report.add("malformed", (a,), f"Gram {a} is not Hermitian")
 
     def _check_grading(self, report: ViolationReport) -> None:
-        law = self.signature.compose_canonical
-        for (i, j), entries in sorted(self.structure.items()):
-            expected = law(self.degrees[i], self.degrees[j])
-            for k, c in entries:
-                if self.degrees[k] != expected:
+        """Compare packed degrees: ``validate`` runs this check only when
+        every degree is canonical, so each has a packed form."""
+        table = self._degree_table()
+        packed = [table.packed[d] for d in self.degrees]
+        keys = sorted(self.structure)
+        products = table.packing.reduce([packed[i] + packed[j] for i, j in keys])
+        for (i, j), expected in zip(keys, products):
+            for k, c in self.structure[(i, j)]:
+                if packed[k] != expected:
+                    di, dj = self.degrees[i], self.degrees[j]
                     report.add(
                         "grading",
                         (i, j, k),
-                        f"product of degrees {self.degrees[i]} and {self.degrees[j]} is "
-                        f"{expected}, but term {k} has degree {self.degrees[k]} "
-                        f"(coefficient {c})",
+                        f"product of degrees {di} and {dj} is "
+                        f"{self.signature.compose_canonical(di, dj)}, but term {k} has "
+                        f"degree {self.degrees[k]} (coefficient {c})",
                     )
 
     def _associativity_middles(self) -> list[int]:
@@ -421,8 +446,8 @@ class GradedRing:
                             report.add(
                                 "associativity",
                                 (i, j, k),
-                                f"(e{i} e{j}) e{k} = {sorted(lhs.items())} but "
-                                f"e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                                f"(e{i} e{j}) e{k} = {_terms(lhs)} but "
+                                f"e{i} (e{j} e{k}) = {_terms(rhs)}",
                             )
                 else:
                     for k in zero_ks.get((i, j), ()):
@@ -431,7 +456,7 @@ class GradedRing:
                             report.add(
                                 "associativity",
                                 (i, j, k),
-                                f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                                f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {_terms(rhs)}",
                             )
 
     def _check_orthogonality(self, report: ViolationReport) -> None:

@@ -111,3 +111,17 @@ def malformed_scalar_spec_dict():
     data = ring_to_dict(trivially_graded_zero_ring(2))
     data["grams"][0][0][0] = "one"
     return data
+
+
+def reference_support_multiplicative(ring):
+    """Every support g against every support-or-identity h, composed with
+    the checked group law: the loop the support steps must reproduce."""
+    sig = ring.signature
+    sup = ring.support()
+    n, degrees = ring.dim, ring.degrees
+    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
+    for g in sorted(sup):
+        for h in sorted(sup | {sig.identity()}):
+            if sig.compose(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
+                return False, (g, h)
+    return True, None

@@ -35,7 +35,13 @@ from gradedrings import linalg, properties
 from gradedrings import ring as ring_module
 from gradedrings.linalg import ONE, ZERO, add_scaled, nullspace, pairing
 
-from conftest import densify, identity_gram, sparse, trivially_graded_zero_ring
+from conftest import (
+    densify,
+    identity_gram,
+    reference_support_multiplicative,
+    sparse,
+    trivially_graded_zero_ring,
+)
 
 
 # -- maximal length -----------------------------------------------------------
@@ -107,20 +113,6 @@ def test_product_that_cancels_is_identically_zero():
     assert oracle.reason == "the product is identically zero"
 
 
-def reference_support_multiplicative(ring):
-    """Every support g against every support-or-identity h, composed with
-    the checked group law: the loop the support steps must reproduce."""
-    sig = ring.signature
-    sup = ring.support()
-    n, degrees = ring.dim, ring.degrees
-    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
-    for g in sorted(sup):
-        for h in sorted(sup | {sig.identity()}):
-            if sig.compose(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
-                return False, (g, h)
-    return True, None
-
-
 def zeroed_product_ring(index):
     """banded (3, 1), 27 structure keys, with the index-th key deleted."""
     base = banded_ring(BandedRingParams(3, 1))
@@ -170,7 +162,8 @@ def test_properties_work_is_sized_to_its_answer(monkeypatch):
     closures multiplied every queued vector by every basis element on both
     sides (3,750 products).  The support steps are composed once per ring,
     once per unordered pair (1,830 compositions; 3,600 when each ordered
-    pair was composed), and the closures multiply only by the basis
+    pair was composed); since the degrees are packed, they compose as ints
+    and no tuple is composed.  The closures multiply only by the basis
     elements that can give a nonzero product."""
     ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
     counts = {"compose": 0, "products": 0}
@@ -189,7 +182,7 @@ def test_properties_work_is_sized_to_its_answer(monkeypatch):
         monkeypatch.setattr(GradedRing, name, counted(getattr(GradedRing, name), "products"))
     report = properties_report(ring)
     assert report.simple_by_theorem is False and report.oracle.verdict is False
-    assert 0 < counts["compose"] <= 60 * 61 // 2
+    assert counts["compose"] == 0
     assert 0 < counts["products"] <= 3750 // 10
 
 

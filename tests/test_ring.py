@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,32 @@ def test_validate_reports_planted_associativity_defect():
     assert report.violations[0].where == (0, 0, 0)
 
 
+def test_associativity_details_write_both_sides_as_terms():
+    """Both sides in one text form, in either branch: 0, or the terms c ek
+    with str(Scalar) coefficients, never a Python repr."""
+    ring = GradedRing(
+        GroupSignature(0, ()),
+        [(), (), ()],
+        {
+            (0, 0): [(1, ONE), (2, Scalar(Fraction(1, 2)))],
+            (1, 0): [(2, Scalar(-1))],
+            (0, 2): [(1, Scalar(3))],
+            (2, 0): [(1, Scalar(0, 1))],
+        },
+        [identity_gram(3)],
+    )
+    assert [(v.where, v.detail) for v in ring.validate()] == [
+        ((0, 0, 0), "(e0 e0) e0 = 0+1/2*i e1 + -1 e2 but e0 (e0 e0) = 3/2 e1"),
+        ((0, 1, 0), "(e0 e1) e0 = 0 but e0 (e1 e0) = -3 e1"),
+        ((0, 2, 0), "(e0 e2) e0 = -3 e2 but e0 (e2 e0) = 0"),
+        ((1, 0, 0), "(e1 e0) e0 = 0-1*i e1 but e1 (e0 e0) = 0"),
+        ((2, 0, 0), "(e2 e0) e0 = 0-1*i e2 but e2 (e0 e0) = 0"),
+    ]
+    assert associativity_defect_ring().validate().violations[0].detail == (
+        "(e0 e0) e0 = 0 but e0 (e0 e0) = 1 e2"
+    )
+
+
 def test_validate_reports_planted_orthogonality_defect():
     report = orthogonality_defect_ring().validate()
     assert [v.kind for v in report] == ["orthogonality"]
@@ -241,6 +268,13 @@ def test_zero_product_ring_validates():
     assert trivially_graded_zero_ring(3).validate().ok
 
 
+def as_text(v):
+    """A violation detail's side: 0, or the terms c ek joined by " + "."""
+    if not v:
+        return "0"
+    return " + ".join(f"{str(c)} e{k}" for k, c in sorted(v.items()))
+
+
 def dense_associativity_violations(ring):
     """The associativity check with k running over every basis index when
     e_i e_j is nonzero: the reference the sparse check must reproduce
@@ -271,8 +305,8 @@ def dense_associativity_violations(ring):
                         report.add(
                             "associativity",
                             (i, j, k),
-                            f"(e{i} e{j}) e{k} = {sorted(lhs.items())} but "
-                            f"e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                            f"(e{i} e{j}) e{k} = {as_text(lhs)} but "
+                            f"e{i} (e{j} e{k}) = {as_text(rhs)}",
                         )
             else:
                 for k in ring._left_keys.get(j, ()):
@@ -281,7 +315,7 @@ def dense_associativity_violations(ring):
                         report.add(
                             "associativity",
                             (i, j, k),
-                            f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {sorted(rhs.items())}",
+                            f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {as_text(rhs)}",
                         )
     return report.violations
 

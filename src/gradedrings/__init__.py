@@ -19,16 +19,7 @@ from .connections import (
     is_symmetric_support,
     verify_certificate,
 )
-from .decomposition import (
-    CoherenceReport,
-    IdealDecomposition,
-    class_ideal,
-    decompose,
-    identity_complement,
-    identity_products_span,
-    is_coherent,
-    is_graded_ideal,
-)
+from .decomposition import CoherenceReport, IdealDecomposition, decompose, is_coherent, is_graded_ideal
 from .errors import (
     GradedRingsError,
     MalformedInputError,
@@ -36,27 +27,9 @@ from .errors import (
     SpecFileError,
     TheoremViolationError,
 )
-from .generators import (
-    BandedRingParams,
-    RandomRingParams,
-    banded_ring,
-    direct_sum,
-    first_primes,
-    group_algebra,
-    random_ring,
-)
+from .generators import BandedRingParams, RandomRingParams, banded_ring, direct_sum, group_algebra, random_ring
 from .groups import GroupSignature
-from .linalg import (
-    EchelonBasis,
-    Scalar,
-    Subspace,
-    full_space,
-    joint_orthogonal_complement,
-    nullspace,
-    pairing,
-    psd_counterexample,
-    span,
-)
+from .linalg import Scalar, Subspace, span
 from .properties import (
     OracleResult,
     PropertyReport,
@@ -70,7 +43,7 @@ from .properties import (
     theorem_hypotheses,
 )
 from .ring import GradedRing, Violation, ViolationReport
-from .specfile import dumps_ring, load_ring, loads_ring, ring_from_dict, ring_to_dict, save_ring
+from .specfile import dumps_ring, load_ring, loads_ring, save_ring
 
 __version__ = "0.1.0"
 

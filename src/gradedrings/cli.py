@@ -17,7 +17,7 @@ Global flags: --report json|text (default text), --out PATH, --timing.
 
 Exit codes: 0 when the analysis ran and every requested theorem check
 passed, 1 when the analysis ran but some check failed (details are in the
-report), 2 for malformed input.
+report), 2 for malformed input or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -112,8 +112,11 @@ def _parser() -> argparse.ArgumentParser:
 def _write(path, text: str) -> None:
     """Write a report or a ring spec to ``path``, or to stdout without one."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpecFileError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -11,10 +11,6 @@ For a connection class C of the support, three subspaces are built:
   graded ideal, and ideals of distinct classes to annihilate each other;
   a failed check raises, so a decomposition records neither outcome.
 
-One private body, ``_class_parts``, builds all three for both
-:func:`class_ideal` and :func:`decompose`, whose ``identity_spans`` and
-``component_sums`` hold the first two per class.
-
 Together with an orthogonal complement of the span of *all* products of
 inverse-degree components inside the identity component, the class ideals
 cover the whole ring.  Under a coherent identity component the ideals are
@@ -36,6 +32,7 @@ from .groups import Element
 from .linalg import (
     EchelonBasis,
     Subspace,
+    check_indices,
     coordinate_subspace,
     joint_orthogonal_complement,
     pairing_vanishes,
@@ -61,13 +58,6 @@ def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
     return eb.to_subspace()
 
 
-def _require_partition_block(ring: GradedRing, block) -> tuple[Element, ...]:
-    block = tuple(sorted([ring.signature.element(g) for g in block]))
-    if block not in connection_classes(ring).blocks:
-        raise PreconditionError(f"{list(block)} is not a connection class of this ring")
-    return block
-
-
 def _class_parts(ring: GradedRing, block) -> tuple[Subspace, Subspace, Subspace]:
     """Identity span, component sum and ideal of a connection class; an ideal
     failing :func:`is_graded_ideal` is a theorem violation."""
@@ -81,33 +71,26 @@ def _class_parts(ring: GradedRing, block) -> tuple[Subspace, Subspace, Subspace]
     return one_span, comp_sum, ideal
 
 
-def class_ideal(ring: GradedRing, block) -> Subspace:
-    """The graded ideal attached to a connection class; see _class_parts."""
-    return _class_parts(ring, _require_partition_block(ring, block))[2]
-
-
 def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     """True iff the subspace absorbs products on both sides and splits as a
     sum of its intersections with the homogeneous components.
 
-    A basis row is multiplied only by the e_j that can give a nonzero
-    product (see :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
+    It splits exactly when each canonical row is homogeneous (see
+    :mod:`gradedrings.linalg`).  A row is multiplied only by the e_j that
+    can give a nonzero product (see
+    :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
     if sub.dim == ring.dim:
         return True  # the whole ring
+    degrees = ring.degrees
     rows = sub.sparse.values()
     for row in rows:
-        if not all(sub.contains(w) for w in ring.basis_multiples(row)):
+        check_indices(row, ring.dim)
+        if len({degrees[i] for i in row}) > 1:
             return False
-    # graded: every homogeneous piece of every basis row stays inside;
-    # equivalently the subspace is the sum of its homogeneous parts.
-    for row in rows:
-        parts = ring.homogeneous_parts(row)
-        if len(parts) > 1 and not all(sub.contains(piece) for _, piece in parts):
-            return False
-    return True
+    return all(sub.contains(w) for row in rows for w in ring.basis_multiples(row))
 
 
 @derived

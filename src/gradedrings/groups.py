@@ -140,15 +140,6 @@ class GroupSignature:
     def is_finite(self) -> bool:
         return self.free_rank == 0
 
-    def order(self) -> int | None:
-        """Group order, or None for infinite groups."""
-        if not self.is_finite():
-            return None
-        n = 1
-        for m in self.torsion:
-            n *= m
-        return n
-
     def elements(self):
         """All elements of a finite group, in ascending lexicographic order."""
         if not self.is_finite():

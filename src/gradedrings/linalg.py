@@ -16,6 +16,10 @@ one.  A vector is not changed once it has been handed to another function;
 echelon rows are replaced rather than updated in place, so they can be
 shared.  A :class:`Subspace` stores a reduced row-echelon basis, which is a
 canonical form: its sparse rows are equal exactly when two subspaces are.
+So a subspace of a graded ring is graded (the sum of its intersections
+with the homogeneous components) exactly when each canonical row is
+homogeneous: the canonical bases of those intersections, taken together,
+are already in reduced row-echelon form, and that form is unique.
 Dense rows exist only as text, where a report or spec file is written
 (:func:`dense_strings`).
 
@@ -226,7 +230,8 @@ class Scalar:
         )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real scalar equals its real part, so it hashes as one
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __lt__(self, other):
         other = self._coerce(other)
@@ -427,16 +432,9 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
-
     def residual(self, vec) -> dict[int, Scalar]:
         """Sparse residual of ``vec`` against the rows; empty iff contained."""
         return _reduce(self.rows, vec)
-
-    def contains(self, vec) -> bool:
-        return not self.residual(vec)
 
     def add(self, vec) -> bool:
         """Insert a vector; returns True when the span grew."""
@@ -479,10 +477,6 @@ class Subspace:
         self.ambient = ambient
         self.sparse = {p: sparse[p] for p in sorted(sparse)}
         self.pivots = tuple(self.sparse)
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, {})
 
     @property
     def dim(self) -> int:

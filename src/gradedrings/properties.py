@@ -47,7 +47,6 @@ from .linalg import (
     EchelonBasis,
     Scalar,
     Subspace,
-    add_scaled,
     full_space,
     nullspace,
     pairing,
@@ -213,54 +212,32 @@ def induced_subring(ring: GradedRing, sub: Subspace) -> GradedRing:
     """Restrict the ring structure to a graded subspace closed under
     products, reusing the ambient Grams on the new basis.
 
-    The new basis is the union over attained degrees of the canonical bases
-    of the intersections with the homogeneous components, so it is again
-    homogeneous.
+    The new basis is the canonical rows of the subspace, which are
+    homogeneous (see :mod:`gradedrings.linalg`), ordered by degree and then
+    by pivot.  A vector of the subspace is the sum of the rows scaled by its
+    entries at their pivots, so those entries are its coordinates.
     """
     if not is_graded_ideal(ring, sub):
         # a graded subring would suffice; the ideal check is what callers need
         raise PreconditionError("subspace is not a graded ideal of the ring")
-    pieces: dict[Element, EchelonBasis] = {}
-    for row in sub.sparse.values():
-        for g, piece in ring.homogeneous_parts(row):
-            pieces.setdefault(g, EchelonBasis(ring.dim)).add(piece)
-    rows = []
-    degs = []
-    for g in sorted(pieces):
-        eb = pieces[g]
-        for p in eb.pivots:
-            rows.append(eb.rows[p])
-            degs.append(g)
+    pivots = sorted(sub.sparse, key=lambda p: (ring.degrees[p], p))
+    rows = [sub.sparse[p] for p in pivots]
     m = len(rows)
-    pivot_of = [min(row) for row in rows]
-
-    def coordinates(vec):
-        # rows grouped per degree are in echelon form, so coordinates can be
-        # read off at the pivots after eliminating top-down
-        v = dict(vec)
-        coords = {}
-        for t, row in enumerate(rows):
-            c = v.get(pivot_of[t])
-            if c is not None:
-                coords[t] = c
-                add_scaled(v, -c, row.items())
-        if v:
-            raise PreconditionError("product left the subspace; not closed")
-        return coords
-
     structure = {}
     for a in range(m):
         for b in range(m):
             prod = ring.multiply(rows[a], rows[b])
             if prod:
-                structure[(a, b)] = list(coordinates(prod).items())
+                if not sub.contains(prod):
+                    raise PreconditionError("product left the subspace; not closed")
+                structure[(a, b)] = [(t, c) for t, p in enumerate(pivots) if (c := prod.get(p))]
     grams = []
     for gram in ring.grams:
         grams.append(
             [{b: p for b in range(m) if (p := pairing(rows[a], rows[b], gram))} for a in range(m)]
         )
     labels = [f"s{t}" for t in range(m)]
-    return GradedRing(ring.signature, degs, structure, grams, labels)
+    return GradedRing(ring.signature, [ring.degrees[p] for p in pivots], structure, grams, labels)
 
 
 @dataclass

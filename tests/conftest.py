@@ -106,7 +106,7 @@ def hausdorff_defect_ring():
 
 def malformed_scalar_spec_dict():
     """A spec whose only defect is an unparseable scalar string."""
-    from gradedrings import ring_to_dict
+    from gradedrings.specfile import ring_to_dict
 
     data = ring_to_dict(trivially_graded_zero_ring(2))
     data["grams"][0][0][0] = "one"

@@ -18,7 +18,6 @@ from gradedrings import (
     BandedRingParams,
     annihilator,
     banded_ring,
-    class_ideal,
     connected,
     connection_classes,
     decompose,
@@ -135,17 +134,15 @@ def test_criterion_3_equivalence_relation(fleet):
           f"{checked_pairs} certified pairs): PASS")
 
 
-def test_criterion_4_ideals_subrings_annihilation(fleet):
+def test_criterion_4_ideals_subrings_annihilation(fleet, fleet_decompositions):
     ideals_checked = 0
-    for ring in fleet:
-        blocks = connection_classes(ring).blocks
-        ideals = [class_ideal(ring, block) for block in blocks]
+    for ring, dec in zip(fleet, fleet_decompositions):
+        ideals = dec.ideals
         for ideal in ideals:
             assert is_graded_ideal(ring, ideal)
-            inside = ideal.basis()
             for u in ideal.sparse.values():
                 for v in ideal.sparse.values():
-                    assert inside.contains(ring.multiply(u, v))
+                    assert ideal.contains(ring.multiply(u, v))
             ideals_checked += 1
         for a in range(len(ideals)):
             for b in range(len(ideals)):

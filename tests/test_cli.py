@@ -112,7 +112,8 @@ def test_gen_banded_weights_flag(capsys, tmp_path):
         capsys, tmp_path, "w.json",
         "gen", "banded", "--n", "2", "--r", "1", "--weights", "1,3/2",
     )
-    data = json.loads(open(path).read())
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     assert len(data["grams"]) == 2
     assert data["grams"][1][0][0] == "3/2"
     code, _, _ = run(capsys, "validate", path)
@@ -150,7 +151,8 @@ def test_gen_random_rejects_max_dim_below_two(capsys, tmp_path):
 
 def z3_spec_with_degree_four():
     """The group algebra of Z/3 with one degree written as [4], not [1]."""
-    from gradedrings import GroupSignature, group_algebra, ring_to_dict
+    from gradedrings import GroupSignature, group_algebra
+    from gradedrings.specfile import ring_to_dict
 
     data = ring_to_dict(group_algebra(GroupSignature(0, (3,))))
     data["degrees"][1] = [4]
@@ -203,6 +205,22 @@ def test_out_flag_writes_report(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(report_path.read_text())["validation"]["ok"] is True
+
+
+def test_an_unwritable_report_path_exits_two_without_a_traceback(capsys, tmp_path):
+    path = gen_file(capsys, tmp_path, "b.json", "gen", "banded", "--n", "2", "--r", "1")
+    report_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "--out", str(report_path), "validate", path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {report_path}: ")
+    assert not report_path.parent.exists()
+
+
+def test_an_unwritable_spec_path_exits_two_without_a_traceback(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "y.json", tmp_path):  # no folder, a folder
+        code, out, err = run(capsys, "gen", "banded", "--n", "2", "--r", "1", "-o", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_timing_section_is_opt_in(capsys, tmp_path):
@@ -322,7 +340,8 @@ def test_library_errors_are_not_reported_as_bad_input(capsys, tmp_path, monkeypa
 
 
 def banded_spec(edit):
-    from gradedrings import BandedRingParams, banded_ring, ring_to_dict
+    from gradedrings import BandedRingParams, banded_ring
+    from gradedrings.specfile import ring_to_dict
 
     data = ring_to_dict(banded_ring(BandedRingParams(2, 1)))
     edit(data)

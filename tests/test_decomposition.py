@@ -3,36 +3,31 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradedrings import (
     BandedRingParams,
     GradedRing,
     GroupSignature,
-    PreconditionError,
+    MalformedInputError,
     Scalar,
     Subspace,
     TheoremViolationError,
     banded_ring,
-    class_ideal,
     connection_classes,
     decompose,
     direct_sum,
-    full_space,
     group_algebra,
-    identity_complement,
-    identity_products_span,
     is_coherent,
     is_graded_ideal,
     random_ring,
     span,
 )
-from gradedrings.linalg import ONE, ZERO, coordinate_subspace
+from gradedrings.decomposition import identity_complement, identity_products_span
+from gradedrings.linalg import ONE, ZERO, coordinate_subspace, full_space
 
 from conftest import identity_gram, trivially_graded_zero_ring
-
-
-def the_block(ring, which=0):
-    return connection_classes(ring).blocks[which]
 
 
 # -- class subspaces -----------------------------------------------------------
@@ -80,18 +75,15 @@ def test_component_sums_partition_the_support_dimensions(band3x2):
 @pytest.mark.parametrize("size,bands", [(2, 1), (3, 1), (3, 2)])
 def test_class_ideal_dimension(size, bands):
     ring = banded_ring(BandedRingParams(size, bands))
-    for block in connection_classes(ring).blocks:
-        assert class_ideal(ring, block).dim == size * size
+    assert [ideal.dim for ideal in decompose(ring).ideals] == [size * size] * bands
 
 
 def test_one_band_ideal_is_everything(band3):
-    block = the_block(band3)
-    assert class_ideal(band3, block) == full_space(band3.dim)
+    assert decompose(band3).ideals == (full_space(band3.dim),)
 
 
 def test_cross_class_products_vanish(band3x2):
-    blocks = connection_classes(band3x2).blocks
-    ideals = [class_ideal(band3x2, b) for b in blocks]
+    ideals = decompose(band3x2).ideals
     for a in range(len(ideals)):
         for b in range(len(ideals)):
             if a == b:
@@ -101,25 +93,18 @@ def test_cross_class_products_vanish(band3x2):
                     assert not band3x2.multiply(u, v)
 
 
-def test_class_functions_reject_non_blocks(band3x2):
-    support = band3x2.sorted_support()
-    outside = (9, 9, 9, 9, 9, 9)  # not in the support
-    not_blocks = [
-        (support[0],),  # a strict subset of its class
-        (),  # a connection class is never empty
-        (outside,),
-        the_block(band3x2) + (outside,),
-    ]
-    for not_a_block in not_blocks:
-        with pytest.raises(PreconditionError):
-            class_ideal(band3x2, not_a_block)
-
-
 # -- is_graded_ideal -------------------------------------------------------------
 
 def test_whole_space_and_zero_are_graded_ideals(band2):
     assert is_graded_ideal(band2, full_space(band2.dim))
-    assert is_graded_ideal(band2, Subspace.zero(band2.dim))
+    assert is_graded_ideal(band2, span([], band2.dim))
+
+
+@pytest.mark.parametrize("bad", [4, -1])
+def test_a_row_outside_the_ring_is_malformed(band2, bad):
+    # Subspace takes its rows as given, so the check reads their indices
+    with pytest.raises(MalformedInputError, match=rf"vector index {bad} is out of range"):
+        is_graded_ideal(band2, Subspace(band2.dim, {bad: {bad: ONE}}))
 
 
 def test_single_offdiagonal_unit_is_not_an_ideal(band2):
@@ -136,16 +121,25 @@ def test_non_graded_subspace_is_rejected(band2):
     assert not is_graded_ideal(band2, line)
 
 
+def test_an_ideal_that_mixes_degrees_is_not_graded():
+    # w and w' multiply with nothing, so the line of w + w' absorbs every
+    # product; only its canonical row, of two degrees, shows it is not graded
+    ring = GradedRing(
+        GroupSignature(1), [(0,), (1,), (-1,)], {(0, 0): [(0, ONE)]}, [identity_gram(3)]
+    )
+    assert ring.validate().ok
+    assert not is_graded_ideal(ring, span([{1: ONE, 2: ONE}], 3))
+    assert is_graded_ideal(ring, span([{1: ONE}, {2: ONE}], 3))
+
+
 def test_every_class_ideal_is_a_graded_subring():
     for seed in range(8):
         ring = random_ring(seed)
-        for block in connection_classes(ring).blocks:
-            ideal = class_ideal(ring, block)
+        for ideal in decompose(ring).ideals:
             assert is_graded_ideal(ring, ideal)
-            eb = ideal.basis()
             for u in ideal.sparse.values():
                 for v in ideal.sparse.values():
-                    assert eb.contains(ring.multiply(u, v))
+                    assert ideal.contains(ring.multiply(u, v))
 
 
 # -- identity complement ----------------------------------------------------------
@@ -289,7 +283,7 @@ def graded_ideal_candidates(ring, rnd):
     sets, spans of random vectors and planted non-ideals (a class ideal
     missing one basis row, one row plus a stray coordinate)."""
     n = ring.dim
-    ideals = [class_ideal(ring, block) for block in connection_classes(ring).blocks]
+    ideals = decompose(ring).ideals
     out = list(ideals)
     for a in range(len(ideals)):
         for b in range(a + 1, len(ideals)):
@@ -339,6 +333,36 @@ def test_is_graded_ideal_matches_the_dense_loop(index, monkeypatch):
     for name in ("multiply_basis_left", "multiply_basis_right"):
         monkeypatch.setattr(GradedRing, name, lambda *args: products.append(args))
     assert is_graded_ideal(ring, whole) and products == []
+
+
+# a grading with components of dimension 1 to 3 in a group with torsion;
+# no products are needed to test the canonical rows
+SEVEN_BY_DEGREE = GradedRing(
+    GroupSignature(1, (2,)),
+    [(0, 0), (1, 0), (0, 1), (1, 0), (-1, 1), (0, 0), (1, 0)],
+    {},
+    [identity_gram(7)],
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_a_span_of_homogeneous_vectors_has_homogeneous_canonical_rows(data):
+    ring = SEVEN_BY_DEGREE
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        g = data.draw(st.sampled_from(ring.attained_degrees()))
+        vector = {i: Scalar(data.draw(coefficient)) for i in ring.indices_of_degree(g)}
+        vectors.append({i: x for i, x in vector.items() if x})
+    sub = span(vectors, ring.dim)
+    for row in sub.sparse.values():
+        assert len({ring.degrees[i] for i in row}) == 1
+    # and the rows of each degree span the homogeneous vectors of that degree
+    for g in ring.attained_degrees():
+        rows = [row for row in sub.sparse.values() if ring.degrees[min(row)] == g]
+        chosen = [v for v in vectors if v and ring.degrees[min(v)] == g]
+        assert span(rows, ring.dim) == span(chosen, ring.dim)
 
 
 def planted_decompose_cases():

@@ -14,7 +14,6 @@ from gradedrings import (
     decompose,
     direct_sum,
     dumps_ring,
-    first_primes,
     group_algebra,
     is_coherent,
     is_maximal_length,
@@ -22,6 +21,7 @@ from gradedrings import (
     is_symmetric_support,
     random_ring,
 )
+from gradedrings.generators import first_primes
 
 from conftest import trivially_graded_zero_ring
 

@@ -15,12 +15,10 @@ from gradedrings import (
     connection_classes,
     decompose,
     direct_sum,
-    full_space,
     graded_simple_oracle,
     graded_simple_theorem,
     group_algebra,
     ideal_closure,
-    identity_products_span,
     induced_subring,
     is_coherent,
     is_graded_ideal,
@@ -33,7 +31,8 @@ from gradedrings import (
 )
 from gradedrings import linalg, properties
 from gradedrings import ring as ring_module
-from gradedrings.linalg import ONE, ZERO, add_scaled, nullspace, pairing
+from gradedrings.decomposition import identity_products_span
+from gradedrings.linalg import ONE, ZERO, EchelonBasis, add_scaled, full_space, nullspace, pairing
 
 from conftest import (
     densify,
@@ -250,7 +249,7 @@ def test_annihilator_add_scaled_count(monkeypatch):
         count += 1
         return add_scaled(*args)
 
-    for module in (linalg, properties, ring_module):
+    for module in (linalg, ring_module):
         monkeypatch.setattr(module, "add_scaled", counted)
     annihilator(banded_ring(BandedRingParams(6, 1)))
     assert count == 36
@@ -604,6 +603,70 @@ def test_induced_subring_handles_combination_basis_rows():
     assert sub.multiply({w_new: ONE}, {winv_new: ONE}) == {one_new: ONE}
     # the combination row pairs with itself as 2 under the inherited Gram
     assert sub.grams[0].sparse[one_new][one_new] == Scalar(2)
+
+
+def per_degree_induced_subring(ring, sub):
+    """induced_subring as it was before it read the canonical rows: the
+    rows split by degree, eliminated again per degree, and coordinates
+    found by eliminating top-down."""
+    assert is_graded_ideal(ring, sub)
+    pieces = {}
+    for row in sub.sparse.values():
+        for g, piece in ring.homogeneous_parts(row):
+            pieces.setdefault(g, EchelonBasis(ring.dim)).add(piece)
+    rows = []
+    degs = []
+    for g in sorted(pieces):
+        eb = pieces[g]
+        for p in sorted(eb.rows):
+            rows.append(eb.rows[p])
+            degs.append(g)
+    m = len(rows)
+
+    def coordinates(vec):
+        v = dict(vec)
+        coords = {}
+        for t, row in enumerate(rows):
+            c = v.get(min(row))
+            if c is not None:
+                coords[t] = c
+                add_scaled(v, -c, row.items())
+        assert not v
+        return coords
+
+    structure = {}
+    for a in range(m):
+        for b in range(m):
+            prod = ring.multiply(rows[a], rows[b])
+            if prod:
+                structure[(a, b)] = list(coordinates(prod).items())
+    grams = [
+        [{b: p for b in range(m) if (p := pairing(rows[a], rows[b], gram))} for a in range(m)]
+        for gram in ring.grams
+    ]
+    return GradedRing(ring.signature, degs, structure, grams, [f"s{t}" for t in range(m)])
+
+
+INDUCED_SUBRING_RINGS = (
+    [(f"random{seed}", random_ring(seed)) for seed in range(60)]
+    + [(f"banded{n}x{r}", banded_ring(BandedRingParams(n, r)))
+       for n in range(1, 5) for r in range(1, 4)]
+    + [(f"Z{t}", group_algebra(GroupSignature(0, t))) for t in [(2,), (3,), (2, 2), (2, 3), (6,)]]
+)
+
+
+@pytest.mark.parametrize(
+    "name,ring", INDUCED_SUBRING_RINGS, ids=[name for name, _ in INDUCED_SUBRING_RINGS]
+)
+def test_induced_subring_matches_the_per_degree_construction(name, ring):
+    """On every class ideal and every basis-vector closure, distinct ones once."""
+    subs = dict.fromkeys(decompose(ring).ideals)
+    subs.update(dict.fromkeys(ideal_closure(ring, {i: ONE}) for i in range(ring.dim)))
+    for sub in subs:
+        new, old = induced_subring(ring, sub), per_degree_induced_subring(ring, sub)
+        assert new.degrees == old.degrees and new.labels == old.labels
+        assert dict(new.structure) == dict(old.structure)
+        assert new.grams == old.grams
 
 
 def test_wedderburn_style_decomposition_on_qualified_rings():

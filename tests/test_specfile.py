@@ -19,10 +19,9 @@ from gradedrings import (
     load_ring,
     loads_ring,
     random_ring,
-    ring_from_dict,
-    ring_to_dict,
     save_ring,
 )
+from gradedrings.specfile import ring_from_dict, ring_to_dict
 from gradedrings.linalg import ONE, dense_strings
 from gradedrings.specfile import dumps_json
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from gradedrings import Scalar, nullspace, psd_counterexample, span
+from gradedrings import Scalar, span
+from gradedrings.linalg import nullspace, psd_counterexample
 from gradedrings.linalg import ZERO, Gram
 
 from conftest import dense_rows, densify, sparse

@@ -460,7 +460,7 @@ class EchelonBasis:
             self.add(v)
 
     def to_subspace(self) -> "Subspace":
-        return Subspace(self.ambient, self.rows)
+        return _subspace(self.ambient, self.rows)
 
 
 class Subspace:
@@ -468,12 +468,21 @@ class Subspace:
 
     ``sparse`` maps each pivot, in ascending order, to its sparse row, and
     ``pivots`` lists the pivot columns.  Equal subspaces have equal pivots,
-    so the pivots alone serve as the hash.
+    so the pivots alone serve as the hash.  ``Subspace(ambient, sparse)``
+    raises ``MalformedInputError`` unless each row's indices are in
+    range(ambient), its least index is its pivot, its coefficient there is
+    1 and no other pivot is among its indices; the library builds its own
+    subspaces, already canonical, without these checks.
     """
 
     __slots__ = ("ambient", "sparse", "pivots")
 
     def __init__(self, ambient: int, sparse: dict[int, dict[int, Scalar]]):
+        pivots = sparse.keys()
+        for p, row in sparse.items():
+            check_indices(row, ambient)
+            if not row or min(row) != p or row[p] != ONE or len(pivots & row.keys()) > 1:
+                raise MalformedInputError(f"row {p} is not a reduced row-echelon row")
         self.ambient = ambient
         self.sparse = {p: sparse[p] for p in sorted(sparse)}
         self.pivots = tuple(self.sparse)
@@ -520,6 +529,15 @@ class Subspace:
         return f"<Subspace dim {self.dim} of {self.ambient}>"
 
 
+def _subspace(ambient: int, sparse: dict[int, dict[int, Scalar]]) -> Subspace:
+    """A subspace from canonical rows, without the constructor's checks."""
+    sub = _new_object(Subspace)
+    sub.ambient = ambient
+    sub.sparse = {p: sparse[p] for p in sorted(sparse)}
+    sub.pivots = tuple(sub.sparse)
+    return sub
+
+
 def span(vectors, ambient: int) -> Subspace:
     """Canonical reduced-echelon basis of the linear span."""
     eb = EchelonBasis(ambient)
@@ -531,7 +549,7 @@ def span(vectors, ambient: int) -> Subspace:
 
 def coordinate_subspace(ambient: int, indices) -> Subspace:
     """Span of the unit vectors with the given indices."""
-    return Subspace(ambient, {i: {i: ONE} for i in indices})
+    return _subspace(ambient, {i: {i: ONE} for i in indices})
 
 
 def full_space(ambient: int) -> Subspace:
@@ -545,17 +563,13 @@ def nullspace(matrix, ncols: int) -> Subspace:
         if eb.dim == ncols:
             break
         eb.add(row)
-    kernel = []
-    for free in range(ncols):
-        if free in eb.rows:
-            continue
-        v = {free: ONE}
-        for p, row in eb.rows.items():
-            x = row.get(free)
-            if x is not None:
-                v[p] = -x
-        kernel.append(v)
-    return span(kernel, ncols)
+    # every entry of a row off its pivot lies in a free column
+    kernel = {free: {free: ONE} for free in range(ncols) if free not in eb.rows}
+    for p, row in eb.rows.items():
+        for j, x in row.items():
+            if j != p:
+                kernel[j][p] = -x
+    return span(kernel.values(), ncols)
 
 
 def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams: list[Gram]) -> Subspace:

@@ -10,7 +10,8 @@ supposed to satisfy and reports every failure with a concrete witness:
 * associativity  (e_i e_j) e_k == e_i (e_j e_k) for all basis triples, decided
                  on the triples whose middle factor is one of a generating
                  set of basis vectors (Light's test); all triples are
-                 checked only to list the violations
+                 checked only to list the violations, in (i, j, k) order
+                 whatever the order the structure entries were given in
 * orthogonality  distinct homogeneous components pair to zero in every Gram
 * psd            every Gram form is positive semidefinite
 * hausdorff      the joint kernel of the Gram family is trivial
@@ -159,8 +160,9 @@ class GradedRing:
                     c += row.pop(k)
                 if c:
                     row[k] = c
+        # held in (i, j) order, so every walk over the keys is in that order
         self.structure = MappingProxyType(
-            {key: tuple(sorted(row.items())) for key, row in terms.items() if row}
+            {key: tuple(sorted(row.items())) for key, row in sorted(terms.items()) if row}
         )
         self.grams = tuple([g if isinstance(g, Gram) else Gram(g) for g in grams])
         # index maps used all over the analyses
@@ -169,7 +171,7 @@ class GradedRing:
             by_degree.setdefault(d, []).append(i)
         self._by_degree = {d: tuple(ix) for d, ix in by_degree.items()}
         # j with (i, j) a structure key, per i; i with (i, j) one, per j;
-        # both in structure order
+        # both ascending
         self._left_keys: dict[int, list[int]] = {}
         self._right_keys: dict[int, list[int]] = {}
         for (i, j) in self.structure:
@@ -339,10 +341,9 @@ class GradedRing:
         every degree is canonical, so each has a packed form."""
         table = self._degree_table()
         packed = [table.packed[d] for d in self.degrees]
-        keys = sorted(self.structure)
-        products = table.packing.reduce([packed[i] + packed[j] for i, j in keys])
-        for (i, j), expected in zip(keys, products):
-            for k, c in self.structure[(i, j)]:
+        products = table.packing.reduce([packed[i] + packed[j] for i, j in self.structure])
+        for ((i, j), entries), expected in zip(self.structure.items(), products):
+            for k, c in entries:
                 if packed[k] != expected:
                     di, dj = self.degrees[i], self.degrees[j]
                     report.add(
@@ -394,70 +395,52 @@ class GradedRing:
         associative exactly when each e_a is in T, which is the triples
         (i, a, k) with middle index a in A.  Only when one of them fails are
         all triples checked, so the violations reported are every failing
-        triple, in the order of (i, j, k)."""
+        triple, in (i, j, k) order whatever the order of the structure
+        entries given to the constructor."""
         probe = ViolationReport()
         self._associativity_triples(probe, self._associativity_middles())
         if not probe.ok:
             self._associativity_triples(report, range(self.dim))
 
     def _associativity_triples(self, report: ViolationReport, middles) -> None:
-        """Compare (e_i e_j) e_k with e_i (e_j e_k) for every i and k and
-        every j in ``middles`` (ascending) where either side can be nonzero."""
-        n = self.dim
-
-        def right_mul(entries, k):
-            acc: dict[int, Scalar] = {}
-            for m, c in entries:
-                add_scaled(acc, c, self.structure.get((m, k), ()))
-            return acc
-
-        def left_mul(i, entries):
-            acc: dict[int, Scalar] = {}
-            for m, c in entries:
-                add_scaled(acc, c, self.structure.get((i, m), ()))
-            return acc
-
-        # e_i (e_j e_k) can be nonzero only when e_i e_m != 0 for a term m
-        # of e_j e_k: for each (i, j) with e_i e_j = 0, the k where that
-        # happens, in the order of _left_keys[j]
-        zero_ks: dict[tuple[int, int], list[int]] = {}
+        """Compare (e_i e_j) e_k with e_i (e_j e_k), in (i, j, k) order, for
+        every j in ``middles`` and every i and k where either side can be
+        nonzero: when e_i e_j != 0, where e_j e_k or some e_m e_k with e_m
+        in e_i e_j is nonzero; when e_i e_j = 0, where e_i e_m != 0 for a
+        term m of e_j e_k, found from the keys and kept per pair."""
+        structure = self.structure
+        zero_ks: dict[tuple[int, int], set[int]] = {}
+        pairs = []
         for j in middles:
+            pairs += [(i, j) for i in self._right_keys.get(j, ())]
             for k in self._left_keys.get(j, ()):
-                seen = set()
-                for m, _ in self.structure[(j, k)]:
+                for m, _ in structure[(j, k)]:
                     for i in self._right_keys.get(m, ()):
-                        if i not in seen and (i, j) not in self.structure:
-                            seen.add(i)
-                            zero_ks.setdefault((i, j), []).append(k)
-
-        for i in range(n):
-            for j in middles:
-                left = self.structure.get((i, j))
-                if left:
-                    # both sides vanish unless e_j e_k or some e_m e_k with
-                    # e_m in e_i e_j is nonzero; sorted keeps the order of k
-                    ks = set(self._left_keys.get(j, ()))
-                    for m, _ in left:
-                        ks.update(self._left_keys.get(m, ()))
-                    for k in sorted(ks):
-                        lhs = right_mul(left, k)
-                        rhs = left_mul(i, self.structure.get((j, k), ()))
-                        if lhs != rhs:
-                            report.add(
-                                "associativity",
-                                (i, j, k),
-                                f"(e{i} e{j}) e{k} = {_terms(lhs)} but "
-                                f"e{i} (e{j} e{k}) = {_terms(rhs)}",
-                            )
-                else:
-                    for k in zero_ks.get((i, j), ()):
-                        rhs = left_mul(i, self.structure[(j, k)])
-                        if rhs:
-                            report.add(
-                                "associativity",
-                                (i, j, k),
-                                f"(e{i} e{j}) e{k} = 0 but e{i} (e{j} e{k}) = {_terms(rhs)}",
-                            )
+                        if (i, j) not in structure:
+                            zero_ks.setdefault((i, j), set()).add(k)
+        pairs += zero_ks
+        pairs.sort()
+        for i, j in pairs:
+            left = structure.get((i, j), ())
+            ks = zero_ks.get((i, j))
+            if ks is None:
+                ks = set(self._left_keys.get(j, ()))
+                for m, _ in left:
+                    ks.update(self._left_keys.get(m, ()))
+            for k in sorted(ks):
+                lhs: dict[int, Scalar] = {}
+                for m, c in left:
+                    add_scaled(lhs, c, structure.get((m, k), ()))
+                rhs: dict[int, Scalar] = {}
+                for m, c in structure.get((j, k), ()):
+                    add_scaled(rhs, c, structure.get((i, m), ()))
+                if lhs != rhs:
+                    report.add(
+                        "associativity",
+                        (i, j, k),
+                        f"(e{i} e{j}) e{k} = {_terms(lhs)} but "
+                        f"e{i} (e{j} e{k}) = {_terms(rhs)}",
+                    )
 
     def _check_orthogonality(self, report: ViolationReport) -> None:
         for a, gram in enumerate(self.grams):

@@ -49,8 +49,8 @@ _DENSE_GRAM_LIMIT = 16
 def ring_to_dict(ring: GradedRing, metadata: dict | None = None) -> dict:
     structure = [
         {"i": i, "j": j, "k": k, "scalar": str(c)}
-        for (i, j) in sorted(ring.structure)
-        for k, c in ring.structure[(i, j)]
+        for (i, j), entries in ring.structure.items()
+        for k, c in entries
     ]
     grams = []
     for gram in ring.grams:

@@ -85,6 +85,12 @@ def associativity_defect_ring():
     )
 
 
+def entries_typed_out_of_order():
+    """e1 e2 = e2, e1 e1 = e2 and e0 e2 = e0, typed in that order: a
+    non-associative product with violations on zero and nonzero e_i e_j."""
+    return {(1, 2): [(2, ONE)], (1, 1): [(2, ONE)], (0, 2): [(0, ONE)]}
+
+
 def orthogonality_defect_ring():
     # mixed degrees with a Gram pairing them; second Gram restores separation
     sig = GroupSignature(1)

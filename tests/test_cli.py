@@ -3,14 +3,16 @@ import os
 
 import pytest
 
-from gradedrings import save_ring
+from gradedrings import TheoremViolationError, save_ring
 from gradedrings.cli import main
 from gradedrings.report import render_text
 
 from conftest import (
     associativity_defect_ring,
+    entries_typed_out_of_order,
     grading_defect_ring,
     hausdorff_defect_ring,
+    identity_gram,
     malformed_scalar_spec_dict,
     orthogonality_defect_ring,
     psd_defect_ring,
@@ -339,6 +341,38 @@ def test_library_errors_are_not_reported_as_bad_input(capsys, tmp_path, monkeypa
         main(["decompose", path])
 
 
+def test_a_theorem_violation_exits_one(capsys, tmp_path, monkeypatch):
+    path = gen_file(capsys, tmp_path, "b.json", "gen", "banded", "--n", "2", "--r", "1")
+
+    def violated(ring):
+        raise TheoremViolationError("planted")
+
+    monkeypatch.setattr("gradedrings.cli.decompose", violated)
+    code, out, err = run(capsys, "decompose", path)
+    assert (code, out, err) == (1, "", "theorem check failed: planted\n")
+
+
+def test_reordered_structure_entries_give_the_same_report(capsys, tmp_path):
+    from gradedrings import GradedRing, GroupSignature
+    from gradedrings.specfile import ring_to_dict
+
+    ring = GradedRing(
+        GroupSignature(0, ()), [()] * 3, entries_typed_out_of_order(), [identity_gram(3)]
+    )
+    data = ring_to_dict(ring)
+    path = tmp_path / "spec.json"
+    reports = []
+    for _ in range(2):
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "--report", "json", "validate", str(path))
+        assert code == 1
+        reports.append(out)
+        data["structure"].reverse()
+    assert reports[0] == reports[1]
+    wheres = [v["where"] for v in json.loads(reports[0])["validation"]["violations"]]
+    assert wheres == [[0, 1, 1], [0, 1, 2], [0, 2, 2], [1, 1, 1], [1, 1, 2]]
+
+
 def banded_spec(edit):
     from gradedrings import BandedRingParams, banded_ring
     from gradedrings.specfile import ring_to_dict
@@ -404,6 +438,63 @@ def test_malformed_numbers_exit_two_naming_the_field(capsys, tmp_path, text, fie
     assert code == 2
     assert err.startswith("error: ") and field in err
     assert "Traceback" not in err and out == ""
+
+
+def put(value, *path):
+    """An edit that sets the field at ``path`` of a spec dict to ``value``."""
+
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return data
+
+    return edit
+
+
+SPEC_DIAGNOSTICS = [
+    ("top-level", lambda d: [d], "top level: expected a JSON object"),
+    ("group", put([], "group"), "group: expected an object"),
+    ("torsion", put(2, "group", "torsion"), "group.torsion: expected a list"),
+    ("basis", put(1, "basis", 0), "basis: expected a list of strings"),
+    (
+        "degree-count",
+        lambda d: {**d, "degrees": d["degrees"][:-1]},
+        "degrees: expected a list of 4 exponent vectors",
+    ),
+    ("degree", put(0, "degrees", 1), "degrees[1]: expected a list of integers"),
+    ("structure", put({}, "structure"), "structure: expected a list of sparse entries"),
+    ("structure-entry", put([], "structure", 0), "structure[0]: expected an object"),
+    ("sparse", put({"sparse": {}}, "grams", 0), "grams[0].sparse: expected a list"),
+    (
+        "sparse-entry",
+        put({"sparse": [[]]}, "grams", 0),
+        "grams[0].sparse[0]: expected an object",
+    ),
+    (
+        "sparse-index",
+        put({"sparse": [{"i": 0, "j": 4, "scalar": "1"}]}, "grams", 0),
+        "grams[0].sparse[0]: index (0,4) out of range",
+    ),
+    ("gram", put("1", "grams", 0), "grams[0]: expected a dense matrix or a sparse object"),
+    ("metadata", put([], "metadata"), "metadata: expected an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [case[1:] for case in SPEC_DIAGNOSTICS],
+    ids=[case[0] for case in SPEC_DIAGNOSTICS],
+)
+def test_each_spec_diagnostic_exits_two_naming_the_field(capsys, tmp_path, edit, message):
+    from gradedrings import BandedRingParams, banded_ring
+    from gradedrings.specfile import ring_to_dict
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(ring_to_dict(banded_ring(BandedRingParams(2, 1))))))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_non_utf8_file_exits_two_naming_the_file(capsys, tmp_path):

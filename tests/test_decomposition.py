@@ -102,7 +102,8 @@ def test_whole_space_and_zero_are_graded_ideals(band2):
 
 @pytest.mark.parametrize("bad", [4, -1])
 def test_a_row_outside_the_ring_is_malformed(band2, bad):
-    # Subspace takes its rows as given, so the check reads their indices
+    # Subspace checks its rows against its own dimension, which
+    # is_graded_ideal checks against the ring's
     with pytest.raises(MalformedInputError, match=rf"vector index {bad} is out of range"):
         is_graded_ideal(band2, Subspace(band2.dim, {bad: {bad: ONE}}))
 

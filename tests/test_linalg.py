@@ -100,6 +100,44 @@ def test_span_empty_is_zero():
     assert span([], 3) == Subspace(3, {})
 
 
+NOT_ECHELON = [
+    # another pivot among the row's indices: dim 2, yet not Q^2
+    ("other-pivot", 2, {0: {0: ONE, 1: ONE}, 1: {1: ONE}}, "row 0 is not a reduced"),
+    ("negative-index", 4, {-1: {-1: ONE}}, "vector index -1 is out of range for dimension 4"),
+    ("index-past-ambient", 2, {0: {0: ONE, 2: ONE}}, "vector index 2 is out of range"),
+    ("least-index-not-pivot", 3, {1: {0: ONE, 1: ONE}}, "row 1 is not a reduced"),
+    ("pivot-not-one", 3, {0: {0: Scalar(2)}}, "row 0 is not a reduced"),
+    ("empty-row", 3, {0: {}}, "row 0 is not a reduced"),
+]
+
+
+@pytest.mark.parametrize(
+    "ambient, rows, message",
+    [case[1:] for case in NOT_ECHELON],
+    ids=[case[0] for case in NOT_ECHELON],
+)
+def test_subspace_rejects_rows_not_in_reduced_echelon_form(ambient, rows, message):
+    with pytest.raises(MalformedInputError, match=message):
+        Subspace(ambient, rows)
+
+
+def test_subspace_accepts_canonical_rows_in_any_order():
+    rows = {1: {1: ONE, 2: Scalar(-1)}, 0: {0: ONE, 2: Scalar(5)}}
+    sub = Subspace(3, rows)
+    assert sub.pivots == (0, 1)
+    assert sub == span([{0: ONE, 2: Scalar(5)}, {1: ONE, 2: Scalar(-1)}], 3)
+    assert sub.contains({0: ONE, 1: ONE, 2: Scalar(4)})
+
+
+def test_library_subspaces_pass_the_public_constructor():
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        vectors = [sparse([rng.randint(-2, 2) for _ in range(n)]) for _ in range(rng.randint(0, n))]
+        for sub in (span(vectors, n), full_space(n), nullspace(vectors, n)):
+            assert Subspace(n, sub.sparse) == sub
+
+
 def test_span_independent_vectors_fill():
     s = span([sparse([1, 1]), sparse([1, -1])], 2)
     assert s == full_space(2)

@@ -28,6 +28,7 @@ from gradedrings.ring import ViolationReport, derived
 from conftest import (
     associativity_defect_ring,
     densify,
+    entries_typed_out_of_order,
     grading_defect_ring,
     hausdorff_defect_ring,
     identity_gram,
@@ -274,9 +275,9 @@ def as_text(v):
 
 
 def dense_associativity_violations(ring):
-    """The associativity check with k running over every basis index when
-    e_i e_j is nonzero: the reference the sparse check must reproduce
-    violation for violation, in the same order."""
+    """The associativity check with k running over every basis index,
+    whether e_i e_j is zero or not: the reference the sparse check must
+    reproduce violation for violation, in the same order."""
     n = ring.dim
     report = ViolationReport()
 
@@ -307,8 +308,8 @@ def dense_associativity_violations(ring):
                             f"e{i} (e{j} e{k}) = {as_text(rhs)}",
                         )
             else:
-                for k in ring._left_keys.get(j, ()):
-                    rhs = left_mul(i, ring.structure[(j, k)])
+                for k in range(n):
+                    rhs = left_mul(i, ring.structure.get((j, k), ()))
                     if rhs:
                         report.add(
                             "associativity",
@@ -521,6 +522,27 @@ def test_zero_product_branch_matches_dense_reference(make):
         assert report.violations == expected
         zero_branch += sum(" = 0 but " in v.detail for v in expected)
     assert zero_branch
+
+
+@pytest.mark.parametrize(
+    "structure, kind, wheres",
+    [
+        (
+            entries_typed_out_of_order(),
+            "associativity",
+            [(0, 1, 1), (0, 1, 2), (0, 2, 2), (1, 1, 1), (1, 1, 2)],
+        ),
+        ({(5, 0): [(0, ONE)], (0, 7): [(0, ONE)]}, "malformed", [(0, 7), (5, 0)]),
+    ],
+    ids=["associativity", "malformed-keys"],
+)
+def test_equal_rings_list_their_violations_in_one_order(structure, kind, wheres):
+    sig = GroupSignature(0, ())
+    for entries in (structure, dict(reversed(structure.items()))):
+        ring = GradedRing(sig, [()] * 3, entries, [identity_gram(3)])
+        assert list(ring.structure) == sorted(structure)
+        violations = ring.validate().violations
+        assert [(v.kind, v.where) for v in violations] == [(kind, w) for w in wheres]
 
 
 # -- malformed and defective Gram families ------------------------------------------

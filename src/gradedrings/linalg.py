@@ -14,8 +14,10 @@ nonzero coordinates.  This is the one vector form of the library: every
 function that takes a vector takes a dict, and every vector returned is
 one.  A vector is not changed once it has been handed to another function;
 echelon rows are replaced rather than updated in place, so they can be
-shared.  A :class:`Subspace` stores a reduced row-echelon basis, which is a
-canonical form: its sparse rows are equal exactly when two subspaces are.
+shared.  Elimination does only the work that changes a row: a pivot row of
+one entry is {p: 1}, so eliminating it deletes coordinate p.  A
+:class:`Subspace` stores a reduced row-echelon basis, which is a canonical
+form: its sparse rows are equal exactly when two subspaces are.
 So a subspace of a graded ring is graded (the sum of its intersections
 with the homogeneous components) exactly when each canonical row is
 homogeneous: the canonical bases of those intersections, taken together,
@@ -404,13 +406,18 @@ def is_hermitian(gram: Gram) -> bool:
 def _reduce(rows: dict[int, dict[int, Scalar]], v: dict[int, Scalar]) -> dict[int, Scalar]:
     """Residual of a sparse vector against reduced row-echelon rows keyed by
     pivot.  Each row vanishes at every other pivot, so eliminating the
-    pivots in the support of ``v`` once each, in any order, clears them all."""
+    pivots in the support of ``v`` once each, in any order, clears them all.
+    A row of one entry is {p: 1}, so eliminating it deletes coordinate p."""
     hits = [p for p in v if p in rows]
     if not hits:
         return v
     v = dict(v)
     for p in hits:
-        add_scaled(v, -v[p], rows[p].items())
+        row = rows[p]
+        if len(row) == 1:
+            del v[p]
+        else:
+            add_scaled(v, -v[p], row.items())
     return v
 
 

@@ -11,6 +11,7 @@ from gradedrings import MalformedInputError, PreconditionError, Scalar, Subspace
 from gradedrings.linalg import (
     ONE,
     ZERO,
+    EchelonBasis,
     Gram,
     add_scaled,
     as_scalar,
@@ -633,6 +634,83 @@ def test_sparse_kernel_matches_dense_reference(system):
     k = nullspace([sparse(r) for r in rows], ambient)
     assert dense_canonical(k) == canonical(dense_nullspace(rows, ambient))
     assert _is_sparse(k)
+
+
+class ScanEchelon:
+    """The echelon insert with every elimination done by add_scaled, unit
+    rows included."""
+
+    def __init__(self, rows):
+        self.rows = dict(rows)
+
+    def residual(self, vec):
+        v = dict(vec)
+        for p in [p for p in v if p in self.rows]:
+            add_scaled(v, -v[p], self.rows[p].items())
+        return v
+
+    def add(self, vec):
+        v = self.residual(vec)
+        if not v:
+            return False
+        lead = min(v)
+        c = v[lead]
+        if c != ONE:
+            v = {j: x / c for j, x in v.items()}
+        for p, row in self.rows.items():
+            f = row.get(lead)
+            if f is not None:
+                row = dict(row)
+                add_scaled(row, -f, v.items())
+                self.rows[p] = row
+        self.rows[lead] = v
+        return True
+
+
+@st.composite
+def insertions(draw):
+    """An ambient dimension, seed vectors and vectors to insert after them:
+    random sparse ones, multiples of unit vectors, repeats of earlier ones,
+    and earlier ones plus a multiple of a unit vector, whose residual is a
+    unit row when that column is not a pivot."""
+    entries = st.sampled_from(draw(st.sampled_from([RATIONAL_ENTRIES, GAUSSIAN_ENTRIES]))[6:])
+    ambient = draw(st.integers(1, 9))
+    index = st.integers(0, ambient - 1)
+    randoms = st.dictionaries(index, entries, max_size=4)
+    seed = draw(st.lists(randoms, max_size=4))
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(["random", "unit", "repeat", "plus unit"]), max_size=12)):
+        earlier = seed + vectors
+        if kind == "unit":
+            v = {draw(index): draw(entries)}
+        elif kind == "random" or not earlier:
+            v = draw(randoms)
+        else:
+            v = draw(st.sampled_from(earlier))
+            if kind == "plus unit":
+                v = dict(v)
+                add_scaled(v, draw(entries), [(draw(index), ONE)])
+        vectors.append(v)
+    return ambient, seed, vectors
+
+
+def _ordered(rows):
+    return [(p, list(row.items())) for p, row in rows.items()]
+
+
+@settings(deadline=None, max_examples=300)
+@given(insertions())
+def test_echelon_basis_matches_elimination_by_add_scaled(case):
+    """Fresh or seeded from Subspace.basis(), EchelonBasis gives the same
+    residual, verdict and rows, in the same order, as a basis that
+    eliminates unit rows with add_scaled, after every insertion."""
+    ambient, seed, vectors = case
+    start = span(seed, ambient)
+    for eb, ref in [(start.basis(), ScanEchelon(start.sparse)), (EchelonBasis(ambient), ScanEchelon({}))]:
+        for v in seed + vectors:
+            assert eb.residual(v) == ref.residual(v)
+            assert eb.add(v) == ref.add(v)
+            assert _ordered(eb.rows) == _ordered(ref.rows)
 
 
 def test_public_functions_take_and_give_sparse_dicts(band2):

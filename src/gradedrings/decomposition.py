@@ -30,10 +30,12 @@ from .connections import ConnectionClasses, connection_classes
 from .errors import PreconditionError, TheoremViolationError
 from .groups import Element
 from .linalg import (
+    ONE,
     EchelonBasis,
     Subspace,
     coordinate_subspace,
     joint_orthogonal_complement,
+    pairing,
     pairing_vanishes,
 )
 from .ring import GradedRing, derived
@@ -144,18 +146,26 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
     orthogonal-decomposition theorem actually uses.  Failures are listed
     as (g, h, Gram index) in ascending order.
 
-    Only the pairings that can be nonzero are evaluated:
+    A (g, h, Gram) can fail only where a side is nonzero, so for each g
+    only the spans P_h that its right side reaches, and those paired
+    nonzero with P_g on the left, are visited.  Both sides depend on h
+    only through P_h, and many h share one span (in a banded ring every
+    a(n, m) gives the line of a(n, n)), so each distinct span is handled
+    once, with its support computed once.
 
-    * P_g depends on g only through the subspace it is, and many g share
-      one (in a banded ring every a(n, m) gives the line of a(n, n)), so
-      each distinct P_g is built once and the left side is decided once
-      per pair of distinct spans.  The right side depends on h only
-      through P_h, so it is decided once per g and distinct P_h.
-    * P_h E_g is spanned by products e_i e_j with i in supp P_h and e_j of
-      degree g; when no such (i, j) is a structure key it is zero, pairs to
-      zero with everything, and is not built.
-    * A pairing of two subspaces is evaluated only where a Gram row of one
-      support meets the other (:func:`~gradedrings.linalg.pairing_vanishes`).
+    * Left side: <u, v> is a sum of terms u_i G[i][j] conj(v_j), so P_x
+      pairs nonzero with P_y only when a Gram row i in supp P_x has an
+      entry j in supp P_y.  An index from each coordinate to the spans
+      whose support holds it gives those y; every other pair is zero.
+    * Right side: P_h E_g is spanned by the products u e_j with u a row of
+      P_h and j of degree g, and u e_j is zero unless j is in the right
+      reach of supp P_h.  An index from each coordinate to the spans whose
+      right reach holds it gives, per g, the spans with P_h E_g possibly
+      nonzero; for every other span P_h E_g = 0.
+    * A pairing is conjugate-linear in its second argument, so it vanishes
+      on a subspace exactly when it vanishes on a spanning set: the
+      nonzero products are paired with each e_i of degree g as they are,
+      and no basis of P_h E_g is built.
     """
     sup = ring.sorted_support()
     span_ok = identity_spanned_by_products(ring)
@@ -168,27 +178,48 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
             known[p] = len(spans)
             spans.append(p)
         span_of[g] = known[p]
-    reach = [ring.right_reach(p.support()) for p in spans]
+    supports = [p.support() for p in spans]
+    holding: dict[int, list[int]] = {}  # coordinate -> spans whose support holds it
+    reaching: dict[int, list[int]] = {}  # coordinate -> spans whose right reach holds it
+    for y, supp in enumerate(supports):
+        for i in supp:
+            holding.setdefault(i, []).append(y)
+        for j in ring.right_reach(supp):
+            reaching.setdefault(j, []).append(y)
     grams = ring.grams
-    # per pair of distinct spans, per Gram: whether the left side vanishes
-    lhs_zero = [
-        [tuple([pairing_vanishes(p, q, gram) for gram in grams]) for q in spans] for p in spans
-    ]
+
+    # left[x][y]: the Grams under which P_x and P_y pair nonzero
+    left: list[dict[int, set[int]]] = [{} for _ in spans]
+    for x, supp in enumerate(supports):
+        rows = spans[x].sparse.values()
+        for a, gram in enumerate(grams):
+            near = {y for i in supp for j in gram.sparse[i] for y in holding.get(j, ())}
+            for y in near:
+                if any(pairing(u, v, gram) for u in rows for v in spans[y].sparse.values()):
+                    left[x].setdefault(y, set()).add(a)
 
     failures = []
     for g in sup:
-        component = ring.component(g)
         indices = ring.indices_of_degree(g)
-        failing = []  # per distinct P_h, the Grams where the two sides disagree
-        for q, lhs, reached in zip(spans, lhs_zero[span_of[g]], reach):
-            if reached.isdisjoint(indices):
-                rhs = (True,) * len(grams)
-            else:
-                rhs_space = ring.product_span(q, component)
-                rhs = tuple([pairing_vanishes(component, rhs_space, gram) for gram in grams])
-            failing.append([a for a, zero in enumerate(lhs) if zero != rhs[a]])
-        if any(failing):
-            failures.extend((g, h, a) for h in sup for a in failing[span_of[h]])
+        products: dict[int, list] = {}  # reached span -> its nonzero u e_j, j of degree g
+        for j in indices:
+            for y in reaching.get(j, ()):
+                products.setdefault(y, []).extend(
+                    w for u in spans[y].sparse.values() if (w := ring.multiply_basis_right(u, j))
+                )
+        lhs = left[span_of[g]]
+        units = [{i: ONE} for i in indices]
+        failing = {}  # per visited span, the Grams where exactly one side is nonzero
+        for y in products.keys() | lhs.keys():
+            rhs = {
+                a
+                for a, gram in enumerate(grams)
+                if any(pairing(e, w, gram) for w in products.get(y, ()) for e in units)
+            }
+            if bad := rhs ^ lhs.get(y, set()):
+                failing[y] = sorted(bad)
+        if failing:
+            failures.extend((g, h, a) for h in sup for a in failing.get(span_of[h], ()))
     return CoherenceReport(span_ok, tuple(failures))
 
 

@@ -325,10 +325,11 @@ class Gram:
     ``{j: nonzero Scalar}`` dict per row.  An entry that is already a
     :class:`Scalar` is taken as it is.  ``square`` records whether every
     input index j of the n rows lies in range(n), so they make an n x n
-    matrix.
+    matrix, and ``hermitian`` whether it is also Hermitian: the conjugate
+    of every nonzero (i, j) entry is at (j, i).
     """
 
-    __slots__ = ("sparse", "square")
+    __slots__ = ("sparse", "square", "hermitian")
 
     def __init__(self, rows):
         rows = list(rows)
@@ -344,6 +345,11 @@ class Gram:
             sparse.append(out)
         self.sparse: tuple[dict[int, Scalar], ...] = tuple(sparse)
         self.square = all(0 <= j < n for row in rows for j in row)
+        self.hermitian = self.square and all(
+            (y := sparse[j].get(i)) is not None and x == y.conjugate()
+            for i, row in enumerate(sparse)
+            for j, x in row.items()
+        )
 
     def __len__(self):
         return len(self.sparse)
@@ -389,16 +395,9 @@ def pairing_vanishes(a: Subspace, b: Subspace, gram: Gram) -> bool:
 
 
 def is_hermitian(gram: Gram) -> bool:
-    """Square, with the conjugate of every nonzero (i, j) entry at (j, i)."""
-    if not gram.square:
-        return False
-    rows = gram.sparse
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            y = rows[j].get(i)
-            if y is None or x != y.conjugate():
-                return False
-    return True
+    """Square, with the conjugate of every nonzero (i, j) entry at (j, i);
+    decided once, when the Gram is built."""
+    return gram.hermitian
 
 
 # -- subspaces ------------------------------------------------------------

@@ -31,8 +31,21 @@ from gradedrings import (
 )
 from gradedrings import linalg, properties
 from gradedrings import ring as ring_module
-from gradedrings.decomposition import identity_products_span
-from gradedrings.linalg import ONE, ZERO, EchelonBasis, add_scaled, full_space, nullspace, pairing
+from gradedrings.decomposition import (
+    identity_products_span,
+    identity_spanned_by_products,
+    inverse_products,
+)
+from gradedrings.linalg import (
+    ONE,
+    ZERO,
+    EchelonBasis,
+    Subspace,
+    add_scaled,
+    full_space,
+    nullspace,
+    pairing,
+)
 
 from conftest import (
     densify,
@@ -817,11 +830,77 @@ COHERENCE_RINGS = (
 PLANTED_COHERENCE_RINGS = planted_coherence_rings()
 
 
+def invalid_coherence_rings():
+    """Rings that fail ``validate``, by the kind of their defect: products
+    given a term of the wrong degree, Grams that pair basis vectors of
+    different degrees, and Grams with complex entries that are not
+    conjugate across the diagonal.  Coherence assumes none of these, so it
+    must still agree with the dense loop.  Beside each defect a Gram
+    couples two identity units, so that some pairings fail; a Gram that
+    couples degrees pairs product spaces only where products leave their
+    degree, so those Grams come with such products as well as without."""
+    half_i = Scalar(0, Fraction(1, 2))
+    out = []
+    for seed, (size, bands) in enumerate([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]):
+        base = banded_ring(BandedRingParams(size, bands))
+        rng = random.Random(seed)
+        n = base.dim
+        ones = base.indices_of_degree(base.identity_degree())
+        others = [i for i in range(n) if i not in ones]
+
+        def off_degree_structure():
+            structure = {key: list(entries) for key, entries in base.structure.items()}
+            for _ in range(rng.randint(1, 3)):
+                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                if base.degrees[k] == base.signature.compose(base.degrees[i], base.degrees[j]):
+                    k = next(x for x in range(n) if base.degrees[x] != base.degrees[k])
+                structure.setdefault((i, j), []).append((k, Scalar(rng.randint(1, 3))))
+            return structure
+
+        def ones_coupling():
+            x, y = rng.sample(ones, 2)
+            return x, y, rng.choice([ONE, half_i])
+
+        def ring_with(structure, grams):
+            return GradedRing(base.signature, base.degrees, structure, grams, base.labels)
+
+        for _ in range(4):
+            grams = list(base.grams) + [coupled_gram(base, [ones_coupling()])]
+            out.append(("grading", ring_with(off_degree_structure(), grams)))
+        for t in range(4):
+            across = (rng.choice(ones), rng.choice(others), Scalar(Fraction(1, 3), 1))
+            structure = off_degree_structure() if t % 2 else base.structure
+            grams = [coupled_gram(base, [across, ones_coupling()])]
+            out.append(("orthogonality", ring_with(structure, grams)))
+        for _ in range(4):
+            # c at (x, y) and c again at (y, x); on the diagonal when x = y
+            x, y = rng.choice(ones), rng.choice(ones)
+            rows = coupled_gram(base, [(x, y, rng.choice([half_i, Scalar(1, 1), Scalar(0, 2)]))])
+            rows[y][x] = rows[x][y]
+            out.append(("malformed", ring_with(base.structure, list(base.grams) + [rows])))
+    return out
+
+
+INVALID_COHERENCE_RINGS = invalid_coherence_rings()
+
+
 @pytest.mark.parametrize("index", range(len(COHERENCE_RINGS)))
 def test_is_coherent_matches_the_dense_loop(index):
     ring = COHERENCE_RINGS[index]
     report = is_coherent(ring)
     assert (report.span_ok, report.pairing_failures) == dense_coherence(ring)
+
+
+@pytest.mark.parametrize("defect", ["grading", "orthogonality", "malformed"])
+def test_is_coherent_matches_the_dense_loop_beyond_validated_rings(defect):
+    rings = [ring for kind, ring in INVALID_COHERENCE_RINGS if kind == defect]
+    failing = 0
+    for ring in rings:
+        assert defect in ring.validate().kinds()
+        report = is_coherent(ring)
+        assert (report.span_ok, report.pairing_failures) == dense_coherence(ring)
+        failing += bool(report.pairing_failures)
+    assert failing > 0
 
 
 def test_is_coherent_matches_the_dense_loop_on_planted_gram_couplings():
@@ -832,6 +911,35 @@ def test_is_coherent_matches_the_dense_loop_on_planted_gram_couplings():
         assert (report.span_ok, report.pairing_failures) == dense_coherence(ring)
         failing += bool(report.pairing_failures)
     assert failing > len(PLANTED_COHERENCE_RINGS) // 2
+
+
+def test_coherence_work_is_sized_to_its_answer(monkeypatch):
+    """Counts, not seconds: on banded (5, 3) with two Grams the 60 support
+    elements have 15 distinct product spans.  Coherence computes each
+    span's support once (the loop over every (g, span) pair rebuilt both
+    supports for every pairing it tested, about 1,155 calls), and builds
+    no echelon basis: each product P_h E_g is paired through its spanning
+    products."""
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    spans = set(inverse_products(ring).values())
+    assert identity_spanned_by_products(ring) and len(spans) == 15
+    counts = {"support": 0, "add": 0, "product_span": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Subspace, "support", counted(Subspace.support, "support"))
+    monkeypatch.setattr(EchelonBasis, "add", counted(EchelonBasis.add, "add"))
+    monkeypatch.setattr(
+        GradedRing, "product_span", counted(GradedRing.product_span, "product_span")
+    )
+    assert is_coherent(ring).ok
+    assert 0 < counts["support"] <= len(spans)
+    assert counts["add"] == counts["product_span"] == 0
 
 
 def test_coherence_is_computed_once_per_ring(band3x2):

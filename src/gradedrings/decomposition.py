@@ -43,10 +43,21 @@ from .ring import GradedRing, derived
 
 @derived
 def inverse_products(ring: GradedRing) -> Mapping[Element, Subspace]:
-    """g -> P_g = E_g E_{g^-1} for g in the support, ascending."""
+    """g -> P_g = E_g E_{g^-1} for g in the support, ascending.
+
+    P_g is spanned by the products e_i e_j with i of degree g and j of
+    degree g^-1, and such a product is zero unless (i, j) is a structure
+    key, when it is that key's entry.  So only the keys are read, with j
+    taken from the indices of degree g^-1, and no product is computed."""
+    structure = ring.structure
     spans = {}
     for g, inv in ring.degree_table().inverse.items():
-        spans[g] = ring.product_span(ring.component(g), ring.component(inv))
+        partners = set(ring.indices_of_degree(inv))
+        eb = EchelonBasis(ring.dim)
+        for i in ring.indices_of_degree(g):
+            for j in ring.right_reach((i,)) & partners:
+                eb.add(dict(structure[(i, j)]))
+        spans[g] = eb.to_subspace()
     return MappingProxyType(spans)
 
 
@@ -79,7 +90,9 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     It splits exactly when each canonical row is homogeneous (see
     :mod:`gradedrings.linalg`).  A row is multiplied only by the e_j that
     can give a nonzero product (see
-    :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
+    :meth:`~gradedrings.ring.GradedRing.basis_multiples`).  A canonical
+    row {p: 1} puts e_p in the subspace, so a product supported on such
+    pivots is in it without an elimination.
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
@@ -90,7 +103,10 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     for row in rows:
         if len({degrees[i] for i in row}) > 1:
             return False
-    return all(sub.contains(w) for row in rows for w in ring.basis_multiples(row))
+    units = {p for p, row in sub.sparse.items() if len(row) == 1}
+    return all(
+        w.keys() <= units or sub.contains(w) for row in rows for w in ring.basis_multiples(row)
+    )
 
 
 @derived

@@ -365,20 +365,27 @@ class Gram:
 
 
 def pairing(u: dict[int, Scalar], v: dict[int, Scalar], gram: Gram) -> Scalar:
-    """<u, v> against one Gram matrix (conjugate-linear in v)."""
+    """<u, v> against one Gram matrix (conjugate-linear in v).
+
+    Each sum starts from its first term, as adding it to zero changes
+    nothing, and a row sum is scaled by u_i only when u_i is not the
+    shared ``ONE``, as scaling by one leaves it as it is.  ``ZERO`` is
+    returned when no row sum is nonzero."""
     rows = gram.sparse
     conj_v = [(j, x.conjugate()) for j, x in v.items()]
-    acc = ZERO
+    acc = None
     for i, ui in u.items():
         row = rows[i]
-        part = ZERO
+        part = None
         for j, cj in conj_v:
             g = row.get(j)
             if g is not None:
-                part = part + g * cj
+                part = g * cj if part is None else part + g * cj
         if part:
-            acc = acc + ui * part
-    return acc
+            if ui is not ONE:
+                part = ui * part
+            acc = part if acc is None else acc + part
+    return ZERO if acc is None else acc
 
 
 def pairing_vanishes(a: Subspace, b: Subspace, gram: Gram) -> bool:

@@ -7,7 +7,7 @@ from gradedrings import (
     banded_ring,
     group_algebra,
 )
-from gradedrings.linalg import ONE, ZERO, as_scalar
+from gradedrings.linalg import ONE, ZERO, as_scalar, pairing
 
 
 @pytest.fixture(scope="session")
@@ -131,3 +131,40 @@ def reference_support_multiplicative(ring):
             if sig.compose(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
                 return False, (g, h)
     return True, None
+
+
+def rebased_units(ring, x, y):
+    """``ring`` in the basis with e_x, e_y (both of one degree) replaced by
+    f_x = e_x + e_y and f_y = e_x - e_y: the structure constants are the
+    products of the new basis vectors in new coordinates, and each Gram is
+    G' = P^T G P, the pairings of the new basis vectors."""
+    assert ring.degrees[x] == ring.degrees[y]
+    half = as_scalar("1/2")
+    basis = [{i: ONE} for i in range(ring.dim)]
+    basis[x], basis[y] = {x: ONE, y: ONE}, {x: ONE, y: -ONE}
+
+    def coordinates(v):
+        out = dict(v)
+        a, b = out.pop(x, ZERO), out.pop(y, ZERO)
+        # a e_x + b e_y = (a + b)/2 f_x + (a - b)/2 f_y
+        for k, value in ((x, (a + b) * half), (y, (a - b) * half)):
+            if value:
+                out[k] = value
+        return sorted(out.items())
+
+    structure = {}
+    for a in range(ring.dim):
+        for b in range(ring.dim):
+            w = ring.multiply(basis[a], basis[b])
+            if w:
+                structure[(a, b)] = coordinates(w)
+    grams = []
+    for gram in ring.grams:
+        rows = [{} for _ in range(ring.dim)]
+        for a in range(ring.dim):
+            for b in range(ring.dim):
+                value = pairing(basis[a], basis[b], gram)
+                if value:
+                    rows[a][b] = value
+        grams.append(rows)
+    return GradedRing(ring.signature, ring.degrees, structure, grams, ring.labels)

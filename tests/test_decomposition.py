@@ -24,10 +24,14 @@ from gradedrings import (
     random_ring,
     span,
 )
-from gradedrings.decomposition import identity_complement, identity_products_span
+from gradedrings.decomposition import (
+    identity_complement,
+    identity_products_span,
+    inverse_products,
+)
 from gradedrings.linalg import ONE, ZERO, coordinate_subspace, full_space
 
-from conftest import identity_gram, trivially_graded_zero_ring
+from conftest import identity_gram, rebased_units, trivially_graded_zero_ring
 
 
 # -- class subspaces -----------------------------------------------------------
@@ -112,6 +116,15 @@ def test_single_offdiagonal_unit_is_not_an_ideal(band2):
     a12 = band2.labels.index("a((1,1),(2,1))")
     line = span([{a12: ONE}], band2.dim)
     assert not is_graded_ideal(band2, line)
+
+
+def test_the_pivot_of_a_row_that_is_not_a_unit_vector_is_not_contained():
+    # e0 e0 = e0: the line of e0 + e1 is homogeneous, and its only nonzero
+    # products, e0, land on its pivot without lying in it
+    ring = GradedRing(GroupSignature(0, ()), [(), ()], {(0, 0): [(0, ONE)]}, [identity_gram(2)])
+    assert ring.validate().ok
+    assert not is_graded_ideal(ring, span([{0: ONE, 1: ONE}], 2))
+    assert is_graded_ideal(ring, span([{0: ONE}], 2))
 
 
 def test_non_graded_subspace_is_rejected(band2):
@@ -310,11 +323,17 @@ def graded_ideal_candidates(ring, rnd):
     return out
 
 
+# banded (3, 2) with identity units of the two classes, e_0 and e_9, replaced
+# by e_0 + e_9 and e_0 - e_9: each class ideal has a canonical row that is
+# not a unit vector, so membership needs an elimination
+REBASED_BAND3X2 = rebased_units(banded_ring(BandedRingParams(3, 2)), 0, 9)
+
 GRADED_IDEAL_RINGS = (
     [banded_ring(BandedRingParams(n, r)) for n, r in [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)]]
     + [banded_ring(BandedRingParams(2, 3))]
     + [group_algebra(GroupSignature(0, t)) for t in [(2,), (3,), (2, 2), (2, 3)]]
     + [random_ring(seed) for seed in range(12)]
+    + [REBASED_BAND3X2]
 )
 
 
@@ -334,6 +353,52 @@ def test_is_graded_ideal_matches_the_dense_loop(index, monkeypatch):
     for name in ("multiply_basis_left", "multiply_basis_right"):
         monkeypatch.setattr(GradedRing, name, lambda *args: products.append(args))
     assert is_graded_ideal(ring, whole) and products == []
+
+
+def test_class_ideals_with_rows_that_are_not_unit_vectors(monkeypatch):
+    ring = REBASED_BAND3X2
+    assert ring.validate().ok and is_coherent(ring).ok
+    dec = decompose(ring)
+    assert dec.covers and dec.orthogonal_ideals and len(dec.ideals) == 2
+    for ideal in dec.ideals:
+        assert [len(row) for row in ideal.sparse.values() if len(row) > 1] == [2]
+    # the products that land off the unit rows are eliminated
+    calls = []
+    contains = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains", lambda sub, w: calls.append(w) or contains(sub, w))
+    assert all(is_graded_ideal(ring, ideal) for ideal in dec.ideals)
+    assert calls and all({0, 9} & w.keys() for w in calls)
+
+
+# -- work the answers do not need -------------------------------------------------
+
+def test_decomposition_does_no_arithmetic_its_answers_do_not_need(monkeypatch):
+    """Counts, not seconds: on banded (5, 3) with two Grams, inverse_products
+    made a product_span, and so a multiply, for each of the 60 support
+    elements; it now reads each P_g from the structure keys.  The three
+    class-ideal checks made 750 Subspace.contains eliminations, though
+    every product they test lands on coordinates whose unit vectors are
+    canonical rows of the ideal."""
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    connection_classes(ring)
+    counts = {"multiply": 0, "product_span": 0, "contains": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("multiply", "product_span"):
+        monkeypatch.setattr(GradedRing, name, counted(getattr(GradedRing, name), name))
+    monkeypatch.setattr(Subspace, "contains", counted(Subspace.contains, "contains"))
+    assert len(inverse_products(ring)) == 60
+    assert counts["multiply"] == counts["product_span"] == 0
+    ideals = decompose(ring).ideals
+    counts["contains"] = 0
+    assert len(ideals) == 3 and all(is_graded_ideal(ring, ideal) for ideal in ideals)
+    assert counts["contains"] == 0
 
 
 # a grading with components of dimension 1 to 3 in a group with torsion;

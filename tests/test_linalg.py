@@ -868,6 +868,56 @@ def test_sparse_gram_operations_match_dense_reference(system):
     assert dense_canonical(complement) == dense_complement(inner, outer, grams)
 
 
+def plain_pairing(u, v, gram):
+    """sum_ij u_i G[i][j] conj(v_j) over Q(i), each scalar a (re, im) pair
+    of Fractions: no Scalar arithmetic, no skipped term."""
+    re, im = Fraction(0), Fraction(0)
+    for i, ui in u.items():
+        for j, vj in v.items():
+            g = gram.sparse[i].get(j)
+            if g is None:
+                continue
+            a, b = ui.re * g.re - ui.im * g.im, ui.re * g.im + ui.im * g.re
+            c, d = vj.re, -vj.im
+            re, im = re + a * c - b * d, im + a * d + b * c
+    return re, im
+
+
+# one equal to 1 but not the shared ONE, so the scaling step is not skipped
+PAIRING_ENTRIES = [ONE, Scalar(1), -ONE, Scalar(2), Scalar(Fraction(1, 2)), Scalar(0, 1),
+                   Scalar(1, -1), Scalar(Fraction(-3, 4), Fraction(1, 3))]
+
+
+def test_pairing_matches_a_plain_sum_over_gaussian_rationals():
+    assert Scalar(1) is not ONE and Scalar(1) == ONE
+    rng = random.Random(7)
+    cancelled = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        # entries of +-1 cancel often, within a Gram row sum and across rows
+        pool = PAIRING_ENTRIES if rng.random() < 0.5 else [ONE, -ONE, Scalar(1)]
+
+        def vector():
+            return {j: rng.choice(pool) for j in rng.sample(range(n), rng.randint(0, n))}
+
+        gram = Gram([vector() for _ in range(n)])
+        u, v = vector(), vector()
+        result = pairing(u, v, gram)
+        assert type(result) is Scalar
+        assert (result.re, result.im) == plain_pairing(u, v, gram)
+        terms = any(j in gram.sparse[i] for i in u for j in v)
+        if not terms:
+            assert result is ZERO
+        cancelled += terms and not result
+    assert cancelled > 10
+    gram = Gram([{0: ONE, 1: ONE}, {0: ONE, 1: ONE}, {2: Scalar(0, 1)}])
+    assert not pairing({0: ONE}, {0: ONE, 1: -ONE}, gram)  # a row sum cancels
+    assert not pairing({0: Scalar(1), 1: -ONE}, {0: Scalar(3)}, gram)  # row sums cancel
+    assert pairing({}, {}, gram) is ZERO
+    assert pairing({2: Scalar(1)}, {2: Scalar(0, 1)}, gram) == Scalar(1)  # 1 * i * conj(i)
+    assert pairing({2: Scalar(2)}, {2: Scalar(1)}, gram) == Scalar(0, 2)
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 5).flatmap(hermitian_grams), st.integers(0, 99), st.integers(0, 99),
        st.sampled_from(["lone", "diagonal", "mirror", "none"]))

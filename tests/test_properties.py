@@ -50,6 +50,7 @@ from gradedrings.linalg import (
 from conftest import (
     densify,
     identity_gram,
+    rebased_units,
     reference_support_multiplicative,
     sparse,
     trivially_graded_zero_ring,
@@ -257,7 +258,9 @@ def test_annihilator_add_scaled_count(monkeypatch):
     it; the rows are now set directly and only nullspace calls it.  Echelon
     elimination against a row of one entry, {p: 1}, deletes the coordinate
     instead of calling it, so annihilator, whose pivot rows there are all
-    unit rows, went 36 -> 0 and properties_report 397 -> 250."""
+    unit rows, went 36 -> 0 and properties_report 397 -> 250.  The spans
+    P_g are read from the structure entries, not multiplied out: the 30
+    support elements no longer cost one add_scaled each, 250 -> 220."""
     count = 0
 
     def counted(*args):
@@ -271,7 +274,7 @@ def test_annihilator_add_scaled_count(monkeypatch):
     assert count == 0
     count = 0
     properties_report(banded_ring(BandedRingParams(6, 1)))
-    assert count == 250
+    assert count == 220
 
 
 def test_annihilator_respects_direct_sums(band2):
@@ -790,31 +793,13 @@ def rebased_band2x2(weights):
     replaced by b = e + f and c = e - f, and a Gram of weights[0] at b,
     weights[1] at c and 2 elsewhere.  The two bands' product spans are then
     the lines of b + c and b - c: distinct spans with the same pivot."""
-    ring = banded_ring(BandedRingParams(2, 2))
-    e = ring.labels.index("a((1,1),(1,1))")
-    f = ring.labels.index("a((1,2),(1,2))")
-    half = Scalar(Fraction(1, 2))
-    basis = [{i: ONE} for i in range(ring.dim)]
-    basis[e], basis[f] = {e: ONE, f: ONE}, {e: ONE, f: -ONE}
-
-    def coordinates(v):
-        out = dict(v)
-        x, y = out.pop(e, ZERO), out.pop(f, ZERO)
-        # x e + y f = (x + y)/2 b + (x - y)/2 c
-        for k, value in ((e, (x + y) * half), (f, (x - y) * half)):
-            if value:
-                out[k] = value
-        return sorted(out.items())
-
-    structure = {}
-    for a in range(ring.dim):
-        for b in range(ring.dim):
-            w = ring.multiply(basis[a], basis[b])
-            if w:
-                structure[(a, b)] = coordinates(w)
+    base = banded_ring(BandedRingParams(2, 2))
+    e = base.labels.index("a((1,1),(1,1))")
+    f = base.labels.index("a((1,2),(1,2))")
+    ring = rebased_units(base, e, f)
     gram = [{i: Scalar(2)} for i in range(ring.dim)]
     gram[e], gram[f] = {e: Scalar(weights[0])}, {f: Scalar(weights[1])}
-    return GradedRing(ring.signature, ring.degrees, structure, [gram], ring.labels)
+    return GradedRing(ring.signature, ring.degrees, ring.structure, [gram], ring.labels)
 
 
 COHERENCE_RINGS = (
@@ -826,6 +811,8 @@ COHERENCE_RINGS = (
     + [group_algebra(GroupSignature(0, t)) for t in [(2,), (3,), (4,), (2, 2), (2, 3)]]
     + [random_ring(seed) for seed in range(40)]
     + [rebased_band2x2((2, 2)), rebased_band2x2((3, 1))]
+    # class ideals with canonical rows that are not unit vectors
+    + [rebased_units(banded_ring(BandedRingParams(3, 2)), 0, 9)]
 )
 PLANTED_COHERENCE_RINGS = planted_coherence_rings()
 
@@ -882,6 +869,36 @@ def invalid_coherence_rings():
 
 
 INVALID_COHERENCE_RINGS = invalid_coherence_rings()
+
+
+def test_inverse_products_match_the_product_spans_of_components():
+    """P_g read from the structure keys against the span of all products of
+    the components E_g and E_{g^-1}, on valid rings and on rings with
+    products of the wrong degree and Grams that fail validate."""
+    rings = list(COHERENCE_RINGS) + [ring for _, ring in INVALID_COHERENCE_RINGS]
+    for ring in rings + [out_of_range_keys_ring()]:
+        inverse = ring.degree_table().inverse
+        spans = inverse_products(ring)
+        assert list(spans) == list(inverse)
+        for g, inv in inverse.items():
+            assert spans[g] == ring.product_span(ring.component(g), ring.component(inv))
+
+
+def out_of_range_keys_ring():
+    """Z/3 with structure keys outside range(3) and a target outside it.
+    The last basis vector has degree 2, the inverse of 1, so a key (1, -1)
+    read as an index into the degrees would put e_1 in P_1."""
+    base = group_algebra(GroupSignature(0, (3,)))
+    structure = {key: list(entries) for key, entries in base.structure.items()}
+    structure[(1, -1)] = [(1, ONE)]
+    structure[(-1, 1)] = [(2, ONE)]
+    structure[(2, 3)] = [(0, ONE)]
+    structure[(3, 1)] = [(1, ONE)]
+    structure[(1, 2)] = structure[(1, 2)] + [(3, ONE)]
+    ring = GradedRing(base.signature, base.degrees, structure, base.grams)
+    details = {v.detail for v in ring.validate() if v.kind == "malformed"}
+    assert details == {"structure key out of range", "structure target out of range"}
+    return ring
 
 
 @pytest.mark.parametrize("index", range(len(COHERENCE_RINGS)))

@@ -11,12 +11,17 @@ For a connection class C of the support, three subspaces are built:
   graded ideal, and ideals of distinct classes to annihilate each other;
   a failed check raises, so a decomposition records neither outcome.
 
-Together with an orthogonal complement of the span of *all* products of
-inverse-degree components inside the identity component, the class ideals
-cover the whole ring.  Under a coherent identity component the ideals are
-even pairwise orthogonal with respect to every Gram.  Coherence is decided
-here too (:func:`is_coherent`), from the same inverse-degree products,
-and read from there: a decomposition does not copy it.
+Together with an orthogonal complement U of the span S* of *all* products
+of inverse-degree components inside the identity component E_1, the class
+ideals cover the whole ring.  Covering needs no elimination of its own: on
+a graded ring every P_h lies in E_1, and the classes partition the
+support, which excludes the identity, so the ideals and U sum to S* + U
+plus every E_g with g != 1.  That is the whole ring exactly when
+S* + U = E_1, which is the exactness flag of :func:`identity_complement`.
+Under a coherent identity component the ideals are even pairwise
+orthogonal with respect to every Gram.  Coherence is decided here too
+(:func:`is_coherent`), from the same inverse-degree products, and read
+from there: a decomposition does not copy it.
 """
 
 from __future__ import annotations
@@ -88,25 +93,32 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     sum of its intersections with the homogeneous components.
 
     It splits exactly when each canonical row is homogeneous (see
-    :mod:`gradedrings.linalg`).  A row is multiplied only by the e_j that
-    can give a nonzero product (see
-    :meth:`~gradedrings.ring.GradedRing.basis_multiples`).  A canonical
-    row {p: 1} puts e_p in the subspace, so a product supported on such
-    pivots is in it without an elimination.
+    :mod:`gradedrings.linalg`).  A canonical row {p: 1} puts e_p in the
+    subspace, so a product supported on such pivots is in it without an
+    elimination.  The nonzero products of such an e_p are read from the
+    structure keys (see :meth:`~gradedrings.ring.GradedRing.basis_products`);
+    any other row is multiplied only by the e_j that can give a nonzero
+    product (see :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
     if sub.dim == ring.dim:
         return True  # the whole ring
     degrees = ring.degrees
-    rows = sub.sparse.values()
-    for row in rows:
-        if len({degrees[i] for i in row}) > 1:
+    units = set()
+    for p, row in sub.sparse.items():
+        if len(row) == 1:
+            units.add(p)
+        elif len({degrees[i] for i in row}) > 1:
             return False
-    units = {p for p, row in sub.sparse.items() if len(row) == 1}
-    return all(
-        w.keys() <= units or sub.contains(w) for row in rows for w in ring.basis_multiples(row)
-    )
+    for p, row in sub.sparse.items():
+        if p in units:
+            for terms in ring.basis_products(p):
+                if any(k not in units for k, _ in terms) and not sub.contains(dict(terms)):
+                    return False
+        elif not all(w.keys() <= units or sub.contains(w) for w in ring.basis_multiples(row)):
+            return False
+    return True
 
 
 @derived
@@ -241,28 +253,37 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
 
 @dataclass
 class IdealDecomposition:
-    """Everything the covering theorem produces for one ring."""
+    """Everything the covering theorem produces for one ring.
+
+    On a graded ring the complement and the class ideals span the ring
+    exactly when the complement is exact, so ``covers`` holds both flags
+    and ``complement_exact`` reads it."""
 
     classes: ConnectionClasses
     ideals: tuple[Subspace, ...]
     identity_spans: tuple[Subspace, ...]
     component_sums: tuple[Subspace, ...]
     complement: Subspace
-    complement_exact: bool
     covers: bool
     orthogonal_ideals: bool
+
+    @property
+    def complement_exact(self) -> bool:
+        return self.covers
 
 
 def decompose(ring: GradedRing) -> IdealDecomposition:
     """Assemble classes, class ideals and the identity complement; verify
     the covering, annihilation and orthogonality statements.
 
-    On a validated ring, a nonzero product of ideals of distinct classes is
-    always a theorem violation, and so is a false ``covers`` whenever the
-    complement is exact.  When the complement is inexact (degenerate Gram
-    family), the covering can genuinely fail and is reported honestly.
-    Orthogonality of distinct ideals is asserted whenever the identity
-    component is coherent.
+    The ring is expected to be graded, as ``validate`` checks; the CLI
+    validates before it decomposes.  Then ``covers`` is the exactness of
+    the complement (see the module docstring); on a ring that fails the
+    grading check a P_h can leave the identity component, and the two can
+    differ.  When the complement is inexact (degenerate Gram family), the
+    covering genuinely fails and is reported honestly.  A nonzero product
+    of ideals of distinct classes is a theorem violation, and so is a
+    non-orthogonal pair whenever the identity component is coherent.
 
     A pair of ideals is multiplied out only when some structure key (i, j)
     has i in the support of the first and j in the support of the second:
@@ -275,13 +296,7 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     parts = [_class_parts(ring, block) for block in classes.blocks]
     identity_spans, component_sums, ideals = (tuple([p[k] for p in parts]) for k in range(3))
 
-    complement, exact = identity_complement(ring)
-
-    eb = EchelonBasis(ring.dim)
-    eb.extend(complement.sparse.values())
-    for ideal in ideals:
-        eb.extend(ideal.sparse.values())
-    covers = eb.dim == ring.dim
+    complement, covers = identity_complement(ring)
 
     supports = [ideal.support() for ideal in ideals]
     reach = [ring.right_reach(s) for s in supports]
@@ -299,8 +314,6 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         for gram in ring.grams
     )
 
-    if exact and not covers:
-        raise TheoremViolationError("complement and class ideals fail to cover the ring")
     if is_coherent(ring).ok and not orthogonal:
         raise TheoremViolationError(
             "identity component is coherent but the class ideals are not orthogonal"
@@ -312,7 +325,6 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
         identity_spans=identity_spans,
         component_sums=component_sums,
         complement=complement,
-        complement_exact=exact,
         covers=covers,
         orthogonal_ideals=orthogonal,
     )

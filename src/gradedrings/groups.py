@@ -81,7 +81,9 @@ class GroupSignature:
         return self.free_rank + len(self.torsion)
 
     def element(self, exponents) -> Element:
-        """Canonicalize an exponent vector: check the length, reduce torsion
+        """Canonicalize an exponent vector: check the length and that each
+        exponent is an ``int`` (a ``bool`` or other subclass is rejected, so
+        a canonical coordinate is a plain ``int``), reduce torsion
         coordinates modulo their moduli."""
         exps = tuple(exponents)
         if len(exps) != self.length:
@@ -89,7 +91,7 @@ class GroupSignature:
                 f"element has {len(exps)} coordinates, signature needs {self.length}"
             )
         for e in exps:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise MalformedInputError(f"exponent {e!r} is not an integer")
         free = exps[: self.free_rank]
         tors = tuple([e % m for e, m in zip(exps[self.free_rank :], self.torsion)])

@@ -15,8 +15,10 @@ function that takes a vector takes a dict, and every vector returned is
 one.  A vector is not changed once it has been handed to another function;
 echelon rows are replaced rather than updated in place, so they can be
 shared.  Elimination does only the work that changes a row: a pivot row of
-one entry is {p: 1}, so eliminating it deletes coordinate p.  A
-:class:`Subspace` stores a reduced row-echelon basis, which is a canonical
+one entry is {p: 1}, so eliminating it deletes coordinate p, and an
+insertion scans the stored rows for its new pivot only when that column
+is in the set of columns some row may hold off its pivot (see
+:class:`EchelonBasis`).  A :class:`Subspace` stores a reduced row-echelon basis, which is a canonical
 form: its sparse rows are equal exactly when two subspaces are.
 So a subspace of a graded ring is graded (the sum of its intersections
 with the homogeneous components) exactly when each canonical row is
@@ -435,11 +437,18 @@ class EchelonBasis:
     sorted by pivot are the canonical representative of the span.  A row is
     replaced, never changed in place, so rows can be shared with the
     subspaces built from them.
+
+    A new pivot must be eliminated from every row that holds it, so
+    :meth:`add` keeps ``held``, a superset of the columns some row holds off
+    its pivot, and scans the rows only when the new pivot is in it.  The set
+    is built on the first insertion that grows the span.  An entry that
+    cancels stays in the set, and costs one scan that finds nothing.
     """
 
     def __init__(self, ambient: int, rows=None):
         self.ambient = ambient
         self.rows: dict[int, dict[int, Scalar]] = dict(rows or {})
+        self.held: set[int] | None = None
 
     @property
     def dim(self) -> int:
@@ -459,13 +468,19 @@ class EchelonBasis:
         if c != ONE:
             v = {j: x / c for j, x in v.items()}
         rows = self.rows
-        for p, row in rows.items():
-            f = row.get(lead)
-            if f is not None:
-                row = dict(row)
-                add_scaled(row, -f, v.items())
-                rows[p] = row
+        held = self.held
+        if held is None:
+            held = self.held = {j for p, row in rows.items() for j in row if j != p}
+        if lead in held:
+            for p, row in rows.items():
+                f = row.get(lead)
+                if f is not None:
+                    row = dict(row)
+                    add_scaled(row, -f, v.items())
+                    rows[p] = row
         rows[lead] = v
+        held.update(v)
+        held.discard(lead)
         return True
 
     def extend(self, vectors) -> None:
@@ -614,15 +629,19 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams: list[Gr
                 constraints.append({j: x.conjugate() for j, x in row.items()})
     if not constraints:
         return outer
-    # Rewrite each constraint in the coordinates y of x = sum_t y_t w_t.
+    # Rewrite each constraint in the coordinates y of x = sum_t y_t w_t:
+    # its entry t is sum_j c_j (w_t)_j, so each c_j reaches only the w_t
+    # that hold j, read from an index of coordinate -> (t, (w_t)_j).
     basis = list(outer.sparse.values())
+    holders: dict[int, list[tuple[int, Scalar]]] = {}
+    for t, w in enumerate(basis):
+        for j, x in w.items():
+            holders.setdefault(j, []).append((t, x))
     reduced = []
     for c in constraints:
         row = {}
-        for t, w in enumerate(basis):
-            acc = sum((x * c[j] for j, x in w.items() if j in c), ZERO)
-            if acc:
-                row[t] = acc
+        for j, cj in c.items():
+            add_scaled(row, cj, holders.get(j, ()))
         reduced.append(row)
     ker = nullspace(reduced, len(basis))
     eb = EchelonBasis(n)

@@ -23,7 +23,9 @@ from .specfile import dumps_json
 
 
 def _element(e) -> list[int]:
-    return [int(x) for x in e]
+    # degrees reach a report only once the degree table has accepted them,
+    # so their coordinates are already ints
+    return list(e)
 
 
 def _basis(sub) -> list[list[str]]:

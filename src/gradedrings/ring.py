@@ -155,7 +155,8 @@ class GradedRing:
         for (i, j), entries in structure.items():
             row = terms.setdefault((int(i), int(j)), {})
             for k, c in entries:
-                c = as_scalar(c)
+                if type(c) is not Scalar:
+                    c = as_scalar(c)
                 if k in row:
                     c += row.pop(k)
                 if c:
@@ -301,6 +302,13 @@ class GradedRing:
                 yield w
             if j in left and (w := self.multiply_basis_left(j, u)):
                 yield w
+
+    def basis_products(self, p: int) -> list[tuple[tuple[int, Scalar], ...]]:
+        """The nonzero e_p e_j, then the nonzero e_j e_p, each as the
+        (k, c) terms of its structure key (p, j) or (j, p), j ascending."""
+        structure = self.structure
+        products = [structure[(p, j)] for j in self._left_keys.get(p, ())]
+        return products + [structure[(j, p)] for j in self._right_keys.get(p, ())]
 
     def product_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all products of one subspace with another."""

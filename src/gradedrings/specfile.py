@@ -191,6 +191,40 @@ def _scalar_field(data: dict, key: str, where: str, parsed: dict) -> Scalar:
     return _parse_scalar(text, f"{where}.{key}", parsed) if scalar is None else scalar
 
 
+def _check_degree(vec, where: str, length: int) -> None:
+    """SpecFileError unless ``vec`` is a list of ``length`` integers."""
+    if not isinstance(vec, list):
+        raise SpecFileError(f"{where}: expected a list of integers")
+    for e in vec:
+        _as_int(e, where)
+    if len(vec) != length:
+        raise SpecFileError(f"{where}: has {len(vec)} coordinates, the group needs {length}")
+
+
+def _structure_entry(entry, where: str, n: int, parsed: dict) -> tuple[int, int, int, Scalar]:
+    """The (i, j, k, scalar) of a structure entry, checked field by field."""
+    if not isinstance(entry, dict):
+        raise SpecFileError(f"{where}: expected an object")
+    i = _int_field(entry, "i", where)
+    j = _int_field(entry, "j", where)
+    k = _int_field(entry, "k", where)
+    for name, value in (("i", i), ("j", j), ("k", k)):
+        if not 0 <= value < n:
+            raise SpecFileError(f"{where}.{name}: index {value} out of range 0..{n - 1}")
+    return i, j, k, _scalar_field(entry, "scalar", where, parsed)
+
+
+def _sparse_gram_entry(entry, spot: str, n: int, parsed: dict) -> tuple[int, int, Scalar]:
+    """The (i, j, scalar) of a sparse Gram entry, checked field by field."""
+    if not isinstance(entry, dict):
+        raise SpecFileError(f"{spot}: expected an object")
+    i = _int_field(entry, "i", spot)
+    j = _int_field(entry, "j", spot)
+    if not (0 <= i < n and 0 <= j < n):
+        raise SpecFileError(f"{spot}: index ({i},{j}) out of range")
+    return i, j, _scalar_field(entry, "scalar", spot, parsed)
+
+
 def ring_from_dict(data) -> GradedRing:
     """Parse a spec dictionary; SpecFileError messages name the field."""
     # each distinct scalar string is parsed once per load and its
@@ -222,34 +256,35 @@ def ring_from_dict(data) -> GradedRing:
     degrees_raw = _need(data, "degrees", "top level")
     if not isinstance(degrees_raw, list) or len(degrees_raw) != n:
         raise SpecFileError(f"degrees: expected a list of {n} exponent vectors")
+    # every degree, structure entry and sparse Gram entry passes plain type
+    # and range tests first; one that fails them, or whose scalar string is
+    # new, goes through the checks that name its fields, so a field's name
+    # is formatted only for an error or a new string
     degrees = []
     for idx, vec in enumerate(degrees_raw):
-        if not isinstance(vec, list):
-            raise SpecFileError(f"degrees[{idx}]: expected a list of integers")
-        for e in vec:
-            _as_int(e, f"degrees[{idx}]")
+        if not (
+            type(vec) is list and len(vec) == sig.length and _INT_ONLY.issuperset(map(type, vec))
+        ):
+            _check_degree(vec, f"degrees[{idx}]", sig.length)
         degrees.append(tuple(vec))
-        if len(degrees[-1]) != sig.length:
-            raise SpecFileError(
-                f"degrees[{idx}]: has {len(degrees[-1])} coordinates, "
-                f"the group needs {sig.length}"
-            )
 
     structure_raw = _need(data, "structure", "top level")
     if not isinstance(structure_raw, list):
         raise SpecFileError("structure: expected a list of sparse entries")
     structure: dict = {}
     for idx, entry in enumerate(structure_raw):
-        where = f"structure[{idx}]"
-        if not isinstance(entry, dict):
-            raise SpecFileError(f"{where}: expected an object")
-        i = _int_field(entry, "i", where)
-        j = _int_field(entry, "j", where)
-        k = _int_field(entry, "k", where)
-        for name, value in (("i", i), ("j", j), ("k", k)):
-            if not 0 <= value < n:
-                raise SpecFileError(f"{where}.{name}: index {value} out of range 0..{n - 1}")
-        scalar = _scalar_field(entry, "scalar", where, parsed)
+        if type(entry) is dict:
+            i, j, k = entry.get("i"), entry.get("j"), entry.get("k")
+            text = entry.get("scalar")
+            scalar = parsed.get(text) if type(text) is str else None
+        else:
+            scalar = None
+        if not (
+            scalar is not None
+            and type(i) is int and type(j) is int and type(k) is int
+            and 0 <= i < n and 0 <= j < n and 0 <= k < n
+        ):
+            i, j, k, scalar = _structure_entry(entry, f"structure[{idx}]", n, parsed)
         structure.setdefault((i, j), []).append((k, scalar))
 
     grams_raw = _need(data, "grams", "top level")
@@ -264,14 +299,18 @@ def ring_from_dict(data) -> GradedRing:
                 raise SpecFileError(f"{where}.sparse: expected a list")
             rows = [{} for _ in range(n)]
             for idx, entry in enumerate(entries):
-                spot = f"{where}.sparse[{idx}]"
-                if not isinstance(entry, dict):
-                    raise SpecFileError(f"{spot}: expected an object")
-                i = _int_field(entry, "i", spot)
-                j = _int_field(entry, "j", spot)
-                if not (0 <= i < n and 0 <= j < n):
-                    raise SpecFileError(f"{spot}: index ({i},{j}) out of range")
-                rows[i][j] = _scalar_field(entry, "scalar", spot, parsed)
+                if type(entry) is dict:
+                    i, j, text = entry.get("i"), entry.get("j"), entry.get("scalar")
+                    scalar = parsed.get(text) if type(text) is str else None
+                else:
+                    scalar = None
+                if not (
+                    scalar is not None
+                    and type(i) is int and type(j) is int
+                    and 0 <= i < n and 0 <= j < n
+                ):
+                    i, j, scalar = _sparse_gram_entry(entry, f"{where}.sparse[{idx}]", n, parsed)
+                rows[i][j] = scalar
             grams.append(rows)
         elif isinstance(gram, list):
             if len(gram) != n or any(not isinstance(row, list) or len(row) != n for row in gram):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +368,75 @@ def test_class_ideals_with_rows_that_are_not_unit_vectors(monkeypatch):
     monkeypatch.setattr(Subspace, "contains", lambda sub, w: calls.append(w) or contains(sub, w))
     assert all(is_graded_ideal(ring, ideal) for ideal in dec.ideals)
     assert calls and all({0, 9} & w.keys() for w in calls)
+
+
+# upper triangular 2 x 2 matrices: e_0 = E11, e_1 = E12 of degree 1, e_2 = E22
+TRIANGULAR = GradedRing(
+    GroupSignature(1),
+    [(0,), (1,), (0,)],
+    {(0, 0): [(0, ONE)], (0, 1): [(1, ONE)], (1, 2): [(1, ONE)], (2, 2): [(2, ONE)]},
+    [identity_gram(3)],
+)
+
+
+@pytest.mark.parametrize(
+    "ring", [TRIANGULAR, direct_sum(banded_ring(BandedRingParams(2, 1)), TRIANGULAR)]
+)
+def test_unit_rows_are_multiplied_on_both_sides(ring):
+    """The products of a unit row {p: 1} are read from the keys (p, j) and
+    (j, p): e_0 e_1 = e_1 is the only product that leaves span{e_0}, and
+    e_1 e_2 = e_1 the only one that leaves span{e_2}, so a check that reads
+    one side only accepts one of them."""
+    assert ring.validate().ok
+    shift = ring.dim - 3
+    e0, e1, e2 = shift, shift + 1, shift + 2
+    leaving = {}
+    for p in (e0, e2):
+        leaving[p] = [key for key, terms in ring.structure.items()
+                      if p in key and any(k != p for k, _ in terms)]
+    assert leaving == {e0: [(e0, e1)], e2: [(e1, e2)]}
+    verdicts = []
+    for size in range(ring.dim + 1):
+        for indices in combinations(range(ring.dim), size):
+            sub = coordinate_subspace(ring.dim, indices)
+            verdict = is_graded_ideal(ring, sub)
+            assert verdict == dense_is_graded_ideal(ring, sub), indices
+            verdicts.append((indices, verdict))
+    verdicts = dict(verdicts)
+    assert not verdicts[(e0,)] and not verdicts[(e2,)] and verdicts[(e1,)]
+    assert verdicts[(e0, e1)] and verdicts[(e1, e2)]
+
+
+def echelon_covers(ring, dec):
+    """Whether the complement and the class ideals span the ring, by
+    extending one echelon basis with all their rows up to full rank."""
+    eb = dec.complement.basis()
+    for ideal in dec.ideals:
+        eb.extend(ideal.sparse.values())
+    return eb.dim == ring.dim
+
+
+COVERING_RINGS = (
+    GRADED_IDEAL_RINGS
+    + [random_ring(seed) for seed in range(12, 40)]
+    + [inexact_complement_ring()]
+)
+
+
+@pytest.mark.parametrize("index", range(len(COVERING_RINGS)))
+def test_covering_is_read_from_the_exact_complement(index):
+    """On a graded ring the class ideals hold every component of
+    non-identity degree, so they cover together with the complement exactly
+    when the complement is exact; decompose reads ``covers`` from that."""
+    ring = COVERING_RINGS[index]
+    assert ring.validate().ok
+    dec = decompose(ring)
+    exact = identity_complement(ring)[1]
+    assert echelon_covers(ring, dec) == dec.covers == dec.complement_exact == exact
+    if ring is COVERING_RINGS[-1]:
+        assert not exact
+    else:
+        assert exact
 
 
 # -- work the answers do not need -------------------------------------------------

@@ -66,7 +66,7 @@ def test_compose_and_invert_match_the_canonicalizing_formula(free_rank, torsion)
         assert sig.invert_canonical(ca) == sig.invert(a)
 
 
-@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0)])
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0), (True, 0), (1, False)])
 def test_compose_and_invert_reject_malformed_elements(bad):
     sig = GroupSignature(1, (3,))
     with pytest.raises(MalformedInputError):
@@ -75,6 +75,12 @@ def test_compose_and_invert_reject_malformed_elements(bad):
         sig.compose((0, 0), bad)
     with pytest.raises(MalformedInputError):
         sig.invert(bad)
+
+
+def test_bool_exponents_are_not_integers():
+    # True == 1, but a canonical coordinate is a plain int, as in spec files
+    with pytest.raises(MalformedInputError, match="exponent True is not an integer"):
+        GroupSignature(1).element((True,))
 
 
 def test_torsion_must_be_sorted():

@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradedrings import MalformedInputError, PreconditionError, Scalar, Subspace, span
+from gradedrings import (
+    BandedRingParams,
+    MalformedInputError,
+    PreconditionError,
+    Scalar,
+    Subspace,
+    banded_ring,
+    linalg,
+    span,
+)
 from gradedrings.linalg import (
     ONE,
     ZERO,
@@ -23,6 +32,7 @@ from gradedrings.linalg import (
     pairing,
     psd_counterexample,
 )
+from gradedrings.ring import ViolationReport
 
 from conftest import dense_rows, densify, sparse
 
@@ -711,6 +721,53 @@ def test_echelon_basis_matches_elimination_by_add_scaled(case):
             assert eb.residual(v) == ref.residual(v)
             assert eb.add(v) == ref.add(v)
             assert _ordered(eb.rows) == _ordered(ref.rows)
+            if eb.held is not None:
+                assert {j for p, row in eb.rows.items() for j in row if j != p} <= eb.held
+
+
+class CountingRows(dict):
+    """Echelon rows that count the rows visited through ``items``."""
+
+    visited = 0
+
+    def items(self):
+        for item in super().items():
+            self.visited += 1
+            yield item
+
+
+def test_inserting_rows_that_no_stored_row_holds_scans_none(monkeypatch):
+    """Counts, not seconds: the Hausdorff check inserts one row of the
+    summed Gram per coordinate into one EchelonBasis, and on banded (5, 3)
+    each row is a single diagonal entry, so no stored row holds its pivot.
+    Scanning every stored row per insertion visited 0 + 1 + ... + 74 rows."""
+    bases = []
+
+    class Counted(EchelonBasis):
+        scanned = 0  # rows visited by add
+
+        def __init__(self, ambient, rows=None):
+            super().__init__(ambient, rows)
+            self.rows = CountingRows(self.rows)
+            bases.append(self)
+
+        def add(self, vec):
+            before = self.rows.visited
+            grew = super().add(vec)
+            self.scanned += self.rows.visited - before
+            return grew
+
+    monkeypatch.setattr(linalg, "EchelonBasis", Counted)
+    ring = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
+    report = ViolationReport()
+    ring._check_hausdorff(report)
+    # the nullspace's basis, then the span of its (empty) kernel
+    assert report.ok and [eb.dim for eb in bases] == [75, 0]
+    assert [eb.scanned for eb in bases] == [0, 0]
+    # a row that holds the new pivot is still found and reduced
+    eb = Counted(3)
+    assert eb.add({0: ONE, 1: Scalar(2)}) and eb.add({1: ONE})
+    assert eb.rows == {0: {0: ONE}, 1: {1: ONE}} and eb.scanned == 1
 
 
 def test_public_functions_take_and_give_sparse_dicts(band2):
@@ -866,6 +923,61 @@ def test_sparse_gram_operations_match_dense_reference(system):
             assert densify(witness, n) == reference
     complement = joint_orthogonal_complement(inner, outer, sparse_grams)
     assert dense_canonical(complement) == dense_complement(inner, outer, grams)
+
+
+def all_pairs_complement(inner, outer, grams):
+    """joint_orthogonal_complement with each constraint rewritten in the
+    coordinates of ``outer`` by summing it against every basis row."""
+    n = outer.ambient
+    constraints = []
+    for gram in grams:
+        for s in inner.sparse.values():
+            row = {}
+            for k, sk in s.items():
+                add_scaled(row, sk, gram.sparse[k].items())
+            if row:
+                constraints.append({j: x.conjugate() for j, x in row.items()})
+    if inner.is_zero() or outer.is_zero() or not constraints:
+        return outer
+    basis = list(outer.sparse.values())
+    reduced = []
+    for c in constraints:
+        row = {}
+        for t, w in enumerate(basis):
+            acc = sum((x * c[j] for j, x in w.items() if j in c), ZERO)
+            if acc:
+                row[t] = acc
+        reduced.append(row)
+    vectors = []
+    for y in nullspace(reduced, len(basis)).sparse.values():
+        x = {}
+        for t, yt in y.items():
+            add_scaled(x, yt, basis[t].items())
+        vectors.append(x)
+    return span(vectors, n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(gram_systems())
+def test_complement_matches_the_all_pairs_rewrite(system):
+    """Outers whose rows have several entries, under Grams over Q(i)."""
+    n, grams, outer, inner, _ = system
+    sparse_grams = [Gram([sparse(row) for row in gram]) for gram in grams]
+    assert joint_orthogonal_complement(inner, outer, sparse_grams) == all_pairs_complement(
+        inner, outer, sparse_grams
+    )
+
+
+def test_complement_inside_an_outer_whose_rows_have_several_entries():
+    # outer rows of three entries each, a Gram over Q(i) coupling them
+    i = Scalar(0, 1)
+    gram = Gram([{0: ONE, 1: i}, {0: -i, 1: Scalar(2)}, {2: ONE, 3: ONE}, {2: ONE, 3: Scalar(3)}])
+    outer = span([{0: ONE, 1: ONE, 2: ONE}, {1: ONE, 2: -ONE, 3: Scalar(2)}], 4)
+    assert all(len(row) == 3 for row in outer.sparse.values())
+    for inner in [span([row], 4) for row in outer.sparse.values()] + [outer]:
+        u = joint_orthogonal_complement(inner, outer, [gram])
+        assert u == all_pairs_complement(inner, outer, [gram])
+        assert all(not pairing(x, s, gram) for x in u.sparse.values() for s in inner.sparse.values())
 
 
 def plain_pairing(u, v, gram):

@@ -233,6 +233,7 @@ MALFORMED_DEGREES = [
     [(0,), (1.5,)],
     [(0,), ("1",)],
     [(0,), (1,), (1.0,)],  # equal to a canonical degree, but not an integer
+    [(0,), (1,), (True,)],  # equal to a canonical degree, but a bool
 ]
 
 

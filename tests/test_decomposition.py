@@ -265,10 +265,7 @@ def test_decompose_covering_on_random_instances():
         ring = random_ring(seed)
         dec = decompose(ring)
         assert dec.covers and not cross_class_products(ring, dec)
-        total = dec.complement.basis()
-        for ideal in dec.ideals:
-            total.extend(ideal.sparse.values())
-        assert total.dim == ring.dim
+        assert echelon_covers(ring, dec)
 
 
 # -- the support-reach filters against the dense loops they replaced -------------

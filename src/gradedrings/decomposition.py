@@ -96,8 +96,10 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     :mod:`gradedrings.linalg`).  A canonical row {p: 1} puts e_p in the
     subspace, so a product supported on such pivots is in it without an
     elimination.  The nonzero products of such an e_p are read from the
-    structure keys (see :meth:`~gradedrings.ring.GradedRing.basis_products`);
-    any other row is multiplied only by the e_j that can give a nonzero
+    structure keys (see :meth:`~gradedrings.ring.GradedRing.basis_products`),
+    and one set test per row asks whether all their targets are such pivots;
+    only when some are not is each product that leaves them eliminated.  Any
+    other row is multiplied only by the e_j that can give a nonzero
     product (see :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
@@ -113,9 +115,11 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
             return False
     for p, row in sub.sparse.items():
         if p in units:
-            for terms in ring.basis_products(p):
-                if any(k not in units for k, _ in terms) and not sub.contains(dict(terms)):
-                    return False
+            products = ring.basis_products(p)
+            if not {k for terms in products for k, _ in terms} <= units and not all(
+                w.keys() <= units or sub.contains(w) for w in map(dict, products)
+            ):
+                return False
         elif not all(w.keys() <= units or sub.contains(w) for w in ring.basis_multiples(row)):
             return False
     return True

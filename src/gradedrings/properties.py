@@ -20,7 +20,11 @@ Two independent routes decide graded simplicity:
   Each closure reuses the earlier ones: a graded ideal that holds a nonzero
   multiple of e_j holds the closure of e_j, so once e_j is shown to generate
   the whole ring, a later closure that reaches c e_j (c != 0) is the whole
-  ring and stops there.
+  ring and stops there.  Generators also spread through the structure keys:
+  if e_i e_j = c e_k is a single term and e_k generates, the ideal of e_i
+  and that of e_j both hold c e_k, so both generate.  Such a basis vector is
+  decided at its seed, and the count of tested closures counts the vectors
+  decided, not the echelon work spent on them.
 
 The oracle is a sound refuter.  As a prover it answers True only when the
 tested closures provably cover every candidate ideal: either every attained
@@ -80,6 +84,12 @@ def annihilator(ring: GradedRing) -> Subspace:
     return nullspace(rows.values(), ring.dim)
 
 
+@derived
+def whole_ring(ring: GradedRing) -> Subspace:
+    """The whole ring as a subspace, built once per ring."""
+    return full_space(ring.dim)
+
+
 def ideal_closure(
     ring: GradedRing, v: dict[int, Scalar], *, generators: Collection[int] = frozenset()
 ) -> Subspace:
@@ -94,7 +104,8 @@ def ideal_closure(
     be the whole ring.  Every seed piece and every product lies in the
     closure of v, and an ideal holding c e_j (c != 0) holds the closure of
     e_j; so a seed piece or product that is a nonzero multiple of e_j, for
-    j in ``generators``, proves the closure is the whole ring.
+    j in ``generators``, proves the closure is the whole ring, and the one
+    :func:`whole_ring` subspace of the ring is returned.
     """
     n = ring.dim
 
@@ -105,13 +116,13 @@ def ideal_closure(
     queue = []
     for _, piece in ring.homogeneous_parts(v):
         if generates(piece):
-            return full_space(n)
+            return whole_ring(ring)
         if basis.add(piece):
             queue.append(piece)
     while queue and basis.dim < n:
         for w in ring.basis_multiples(queue.pop()):
             if generates(w):
-                return full_space(n)
+                return whole_ring(ring)
             if basis.add(w):
                 if basis.dim == n:
                     return basis.to_subspace()
@@ -162,12 +173,18 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
     any proper nonzero closure refutes simplicity.  True is only returned
     when the tested closures cover all candidate ideals (see the module
     docstring); None means the sampling was exhausted inconclusively.
+
+    Once e_k generates the whole ring, every e_i and e_j with e_i e_j a
+    single nonzero multiple of e_k generate it too, and so on back through
+    the single-term structure keys; such a basis vector's closure stops at
+    its seed.  ``closures_tested`` counts the vectors decided.
     """
     n = ring.dim
     if n == 0 or not ring.structure:
         return OracleResult(False, None, 0, "the product is identically zero")
     tested = 0
     generators: set[int] = set()
+    producers: dict[int, list[tuple[int, int]]] | None = None
     for i in range(n):
         closure = ideal_closure(ring, {i: ONE}, generators=generators)
         tested += 1
@@ -178,7 +195,22 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
                 tested,
                 f"closure of basis vector {i} is a proper nonzero graded ideal",
             )
+        if i in generators:
+            continue  # marked by spreading, so its producers were walked
+        if producers is None:
+            # k -> the keys (i, j) with e_i e_j = c e_k, c != 0, a single term
+            producers = {}
+            for key, terms in ring.structure.items():
+                if len(terms) == 1:
+                    producers.setdefault(terms[0][0], []).append(key)
         generators.add(i)
+        stack = [i]
+        while stack and len(generators) < n:
+            for key in producers.get(stack.pop(), ()):
+                for j in key:
+                    if j not in generators:
+                        generators.add(j)
+                        stack.append(j)
     one_indices = ring.indices_of_degree(ring.identity_degree())
     if one_indices and sample_count > 0:
         rng = random.Random(seed)

@@ -260,7 +260,9 @@ def test_annihilator_add_scaled_count(monkeypatch):
     instead of calling it, so annihilator, whose pivot rows there are all
     unit rows, went 36 -> 0 and properties_report 397 -> 250.  The spans
     P_g are read from the structure entries, not multiplied out: the 30
-    support elements no longer cost one add_scaled each, 250 -> 220."""
+    support elements no longer cost one add_scaled each, 250 -> 220.  The
+    oracle spreads generators back through the single-term structure keys,
+    so its basis closures past the first stop at their seeds, 220 -> 150."""
     count = 0
 
     def counted(*args):
@@ -274,7 +276,7 @@ def test_annihilator_add_scaled_count(monkeypatch):
     assert count == 0
     count = 0
     properties_report(banded_ring(BandedRingParams(6, 1)))
-    assert count == 220
+    assert count == 150
 
 
 def test_annihilator_respects_direct_sums(band2):
@@ -477,10 +479,58 @@ def reference_oracle(ring, sample_count=8, seed=0):
     return (None, None, tested, "identity component has untestable lines")
 
 
+def quadratic_field_ring():
+    # basis 1, s with s*s = 2: a field, trivially graded
+    sig = GroupSignature(0, ())
+    structure = {
+        (0, 0): [(0, ONE)],
+        (0, 1): [(1, ONE)],
+        (1, 0): [(1, ONE)],
+        (1, 1): [(0, Scalar(2))],
+    }
+    return GradedRing(sig, [(), ()], structure, [identity_gram(2)], ["one", "s"])
+
+
+def combination_row_ring():
+    # the closure of w contains e+f, a homogeneous vector that is not a
+    # basis line, so the restricted structure constants need coordinates
+    # with respect to a combination row
+    sig = GroupSignature(1)
+    structure = {(2, 3): [(0, ONE), (1, ONE)], (3, 2): [(0, ONE), (1, ONE)]}
+    return GradedRing(
+        sig, [(0,), (0,), (1,), (-1,)], structure, [identity_gram(4)], ["e", "f", "w", "w'"]
+    )
+
+
+def dual_numbers_ring():
+    """K[x]/(x^2) graded by Z: e_0 = 1 generates, and the closure of e_1 = x
+    is the line it spans, though e_0 e_1 = e_1 e_0 = e_1 is a single term."""
+    structure = {(0, 0): [(0, ONE)], (0, 1): [(1, ONE)], (1, 0): [(1, ONE)]}
+    return GradedRing(GroupSignature(1), [(0,), (1,)], structure, [identity_gram(2)])
+
+
+def skewed_cube_ring():
+    """K x K x K, trivially graded, on the basis e_0 = (1, 1, 1),
+    e_1 = (2, 1, 0), e_2 = (0, 0, 1).  The identity e_0 generates, but
+    e_1 e_1 = (4, 1, 0) = -2 e_0 + 3 e_1 + 2 e_2 is a product of several
+    terms and the closure of e_1 is K x K x 0, so e_1 must not be taken
+    for a generator."""
+    structure = {
+        (0, 0): [(0, ONE)], (0, 1): [(1, ONE)], (0, 2): [(2, ONE)],
+        (1, 0): [(1, ONE)], (2, 0): [(2, ONE)], (2, 2): [(2, ONE)],
+        (1, 1): [(0, Scalar(-2)), (1, Scalar(3)), (2, Scalar(2))],
+    }
+    return GradedRing(GroupSignature(0, ()), [()] * 3, structure, [identity_gram(3)])
+
+
 ORACLE_RINGS = (
     [(f"banded-{n}-{r}", lambda n=n, r=r: banded_ring(BandedRingParams(n, r)))
      for n in range(2, 6) for r in (1, 2)]
-    + [("group-2x3", lambda: group_algebra(GroupSignature(0, (2, 3))))]
+    + [(f"banded-{n}-1", lambda n=n: banded_ring(BandedRingParams(n, 1))) for n in (6, 8)]
+    + [(f"group-{'x'.join(map(str, t))}", lambda t=t: group_algebra(GroupSignature(0, t)))
+       for t in [(2, 3), (2, 2), (6,)]]
+    + [("dual-numbers", dual_numbers_ring), ("skewed-cube", skewed_cube_ring)]
+    + [("combination-rows", combination_row_ring), ("quadratic-field", quadratic_field_ring)]
     + [(f"random-{seed}", lambda seed=seed: random_ring(seed)) for seed in range(40)]
 )
 
@@ -499,6 +549,55 @@ def test_oracle_on_one_band_of_six_tests_44_closures():
     result = graded_simple_oracle(banded_ring(BandedRingParams(6, 1)))
     assert result.verdict is True
     assert result.closures_tested == 44
+
+
+@pytest.mark.parametrize("make", [dual_numbers_ring, skewed_cube_ring])
+def test_generators_do_not_spread_to_a_proper_closure(make):
+    """The identity e_0 generates; e_1 shares a structure key with it, but
+    through a single term into e_1 or a product of several terms, so the
+    oracle must still grow the closure of e_1, which is proper."""
+    ring = make()
+    assert ring.validate().ok
+    result = graded_simple_oracle(ring)
+    assert (result.verdict, result.witness, result.closures_tested) == (False, {1: ONE}, 2)
+    assert 0 < ideal_closure(ring, {1: ONE}).dim < ring.dim
+
+
+def test_oracle_grows_only_its_first_basis_closure(monkeypatch):
+    """Counts, not seconds: on banded (6, 1), with the annihilator and the
+    identity span already computed, the oracle makes one ideal_closure call
+    per tested vector, 44, and inserts echelon rows only in the first basis
+    closure and in the 8 sampled ones.  Every other basis vector is reached
+    from e_0 back through single-term products, so its closure stops at its
+    seed."""
+    ring = banded_ring(BandedRingParams(6, 1))
+    annihilator(ring)
+    identity_spanned_by_products(ring)
+    adds = []
+    closure, add = properties.ideal_closure, EchelonBasis.add
+
+    def counted_closure(*args, **kwargs):
+        adds.append(0)
+        return closure(*args, **kwargs)
+
+    def counted_add(self, row):
+        adds[-1] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(properties, "ideal_closure", counted_closure)
+    monkeypatch.setattr(EchelonBasis, "add", counted_add)
+    result = graded_simple_oracle(ring)
+    assert result.verdict is True and result.closures_tested == 44
+    assert len(adds) == 44
+    assert adds[0] > 0 and adds[1:36] == [0] * 35 and all(adds[36:])
+
+
+def test_whole_ring_closures_are_one_object(band3):
+    """A closure that a known generator proves whole is the whole ring built
+    once for the ring, not a new subspace per call."""
+    whole = ideal_closure(band3, {0: ONE}, generators=frozenset({0}))
+    assert whole == full_space(band3.dim)
+    assert ideal_closure(band3, {4: ONE, 5: ONE}, generators=frozenset({4})) is whole
 
 
 # -- simplicity, theorem route ----------------------------------------------------------
@@ -537,18 +636,6 @@ def test_oracle_refutes_two_bands(band3x2):
 def test_oracle_refutes_zero_products():
     ring = trivially_graded_zero_ring(2)
     assert graded_simple_oracle(ring).verdict is False
-
-
-def quadratic_field_ring():
-    # basis 1, s with s*s = 2: a field, trivially graded
-    sig = GroupSignature(0, ())
-    structure = {
-        (0, 0): [(0, ONE)],
-        (0, 1): [(1, ONE)],
-        (1, 0): [(1, ONE)],
-        (1, 1): [(0, Scalar(2))],
-    }
-    return GradedRing(sig, [(), ()], structure, [identity_gram(2)], ["one", "s"])
 
 
 def test_oracle_is_inconclusive_on_a_plane_identity_component():
@@ -598,14 +685,7 @@ def test_induced_subring_of_a_band_is_simple(band3x2):
 
 
 def test_induced_subring_handles_combination_basis_rows():
-    # the closure of w contains e+f, a homogeneous vector that is not a
-    # basis line, so the restricted structure constants need coordinates
-    # with respect to a combination row
-    sig = GroupSignature(1)
-    structure = {(2, 3): [(0, ONE), (1, ONE)], (3, 2): [(0, ONE), (1, ONE)]}
-    ring = GradedRing(
-        sig, [(0,), (0,), (1,), (-1,)], structure, [identity_gram(4)], ["e", "f", "w", "w'"]
-    )
+    ring = combination_row_ring()
     assert ring.validate().ok
     seed = {2: ONE, 3: ONE}  # w + w', homogeneous pieces seed both lines
     ideal = ideal_closure(ring, seed)

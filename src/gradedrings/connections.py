@@ -161,6 +161,8 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
         target = sig.element(path.target)
         if source not in sup or target not in sup:
             return False
+        if not isinstance(path.elements, (tuple, list)):
+            return False
         elements = [sig.element(e) for e in path.elements]
         if not elements or elements[0] != source:
             return False
@@ -173,7 +175,7 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
                 return False
             prefix = sig.compose(prefix, elements[idx])
         return prefix in (target, sig.invert(target))
-    except (MalformedInputError, TypeError):
+    except MalformedInputError:
         return False
 
 

@@ -94,33 +94,26 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
 
     It splits exactly when each canonical row is homogeneous (see
     :mod:`gradedrings.linalg`).  A canonical row {p: 1} puts e_p in the
-    subspace, so a product supported on such pivots is in it without an
-    elimination.  The nonzero products of such an e_p are read from the
-    structure keys (see :meth:`~gradedrings.ring.GradedRing.basis_products`),
-    and one set test per row asks whether all their targets are such pivots;
-    only when some are not is each product that leaves them eliminated.  Any
-    other row is multiplied only by the e_j that can give a nonzero
-    product (see :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
+    subspace, so a product supported on such unit pivots is in it.  The
+    products of any row are supported on the targets of the structure keys
+    of its coordinates (see :meth:`~gradedrings.ring.GradedRing.basis_products`):
+    when these are all unit pivots the row passes, and only otherwise is
+    each product that leaves them eliminated (see
+    :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
     if sub.dim == ring.dim:
         return True  # the whole ring
     degrees = ring.degrees
-    units = set()
-    for p, row in sub.sparse.items():
-        if len(row) == 1:
-            units.add(p)
-        elif len({degrees[i] for i in row}) > 1:
+    units = {p for p, row in sub.sparse.items() if len(row) == 1}
+    for row in sub.sparse.values():
+        if len(row) > 1 and len({degrees[i] for i in row}) > 1:
             return False
-    for p, row in sub.sparse.items():
-        if p in units:
-            products = ring.basis_products(p)
-            if not {k for terms in products for k, _ in terms} <= units and not all(
-                w.keys() <= units or sub.contains(w) for w in map(dict, products)
-            ):
-                return False
-        elif not all(w.keys() <= units or sub.contains(w) for w in ring.basis_multiples(row)):
+        targets = {k for i in row for terms in ring.basis_products(i) for k, _ in terms}
+        if not targets <= units and not all(
+            w.keys() <= units or sub.contains(w) for w in ring.basis_multiples(row)
+        ):
             return False
     return True
 

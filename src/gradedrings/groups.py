@@ -85,7 +85,10 @@ class GroupSignature:
         exponent is an ``int`` (a ``bool`` or other subclass is rejected, so
         a canonical coordinate is a plain ``int``), reduce torsion
         coordinates modulo their moduli."""
-        exps = tuple(exponents)
+        try:
+            exps = tuple(exponents)
+        except TypeError:
+            raise MalformedInputError(f"element {exponents!r} is not a sequence") from None
         if len(exps) != self.length:
             raise MalformedInputError(
                 f"element has {len(exps)} coordinates, signature needs {self.length}"

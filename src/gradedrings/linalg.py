@@ -28,9 +28,9 @@ Dense rows exist only as text, where a report or spec file is written
 (:func:`dense_strings`).
 
 A Gram matrix is held as a read-only :class:`Gram`: one sparse row
-``{j: nonzero Scalar}`` per row, plus a flag recording whether the input
-was square.  The functions that take a Gram (:func:`pairing`,
-:func:`pairing_vanishes`, :func:`is_hermitian`, :func:`psd_counterexample`
+``{j: nonzero Scalar}`` per row, plus flags recording whether the input
+was square and whether it is Hermitian.  The functions that take a Gram
+(:func:`pairing`, :func:`pairing_vanishes`, :func:`psd_counterexample`
 and :func:`joint_orthogonal_complement`) take a :class:`Gram` and visit
 only its nonzero entries.
 
@@ -403,12 +403,6 @@ def pairing_vanishes(a: Subspace, b: Subspace, gram: Gram) -> bool:
     return not any(pairing(u, v, gram) for u in a.sparse.values() for v in b.sparse.values())
 
 
-def is_hermitian(gram: Gram) -> bool:
-    """Square, with the conjugate of every nonzero (i, j) entry at (j, i);
-    decided once, when the Gram is built."""
-    return gram.hermitian
-
-
 # -- subspaces ------------------------------------------------------------
 
 def _reduce(rows: dict[int, dict[int, Scalar]], v: dict[int, Scalar]) -> dict[int, Scalar]:
@@ -612,7 +606,7 @@ def joint_orthogonal_complement(inner: Subspace, outer: Subspace, grams: list[Gr
     if not outer.contains_subspace(inner):
         raise PreconditionError("inner subspace is not contained in the outer one")
     for a, gram in enumerate(grams):
-        if len(gram) != n or not is_hermitian(gram):
+        if len(gram) != n or not gram.hermitian:
             raise MalformedInputError(f"Gram {a} is not a Hermitian {n}x{n} matrix")
     if inner.is_zero() or outer.is_zero():
         return outer
@@ -663,7 +657,7 @@ def psd_counterexample(gram: Gram) -> dict[int, Scalar] | None:
     surviving off-diagonal entry c yields the explicit witness
     -conj(c) * w_j + w_k of value -2|c|^2.
     """
-    if not is_hermitian(gram):
+    if not gram.hermitian:
         raise MalformedInputError("Gram matrix is not Hermitian")
     n = len(gram)
     # entries in eliminated columns go stale and are never read again; the

@@ -22,12 +22,6 @@ from .ring import GradedRing, ViolationReport
 from .specfile import dumps_json
 
 
-def _element(e) -> list[int]:
-    # degrees reach a report only once the degree table has accepted them,
-    # so their coordinates are already ints
-    return list(e)
-
-
 def _basis(sub) -> list[list[str]]:
     """The dense rows of a subspace's canonical basis, as strings."""
     return [dense_strings(row, sub.ambient) for row in sub.sparse.values()]
@@ -50,9 +44,9 @@ def validation_section(report: ViolationReport) -> dict:
 def support_section(ring: GradedRing, symmetric: bool, witness) -> dict:
     return {
         "size": len(ring.support()),
-        "elements": [_element(g) for g in ring.sorted_support()],
+        "elements": [list(g) for g in ring.sorted_support()],
         "symmetric": symmetric,
-        "asymmetry_witness": None if witness is None else _element(witness),
+        "asymmetry_witness": None if witness is None else list(witness),
     }
 
 
@@ -64,15 +58,15 @@ def classes_section(classes: ConnectionClasses) -> dict:
             path = classes.certificates[member]
             members.append(
                 {
-                    "member": _element(member),
+                    "member": list(member),
                     "certificate": {
-                        "elements": [_element(e) for e in path.elements],
-                        "source": _element(path.source),
-                        "target": _element(path.target),
+                        "elements": [list(e) for e in path.elements],
+                        "source": list(path.source),
+                        "target": list(path.target),
                     },
                 }
             )
-        blocks.append({"representative": _element(rep), "members": members})
+        blocks.append({"representative": list(rep), "members": members})
     return {"count": classes.count, "blocks": blocks}
 
 
@@ -83,7 +77,7 @@ def decomposition_section(ring: GradedRing, dec: IdealDecomposition) -> dict:
     ):
         ideals.append(
             {
-                "class": [_element(g) for g in block],
+                "class": [list(g) for g in block],
                 "dimension": ideal.dim,
                 "identity_span_dimension": one_span.dim,
                 "component_sum_dimension": comp_sum.dim,
@@ -114,17 +108,17 @@ def properties_section(props: PropertyReport) -> dict:
         "support_multiplicative": hypotheses["support_multiplicative"],
         "support_multiplicative_failure": None
         if failure is None
-        else [_element(failure[0]), _element(failure[1])],
+        else [list(failure[0]), list(failure[1])],
         "annihilator": _subspace(props.annihilator),
         "symmetric_support": hypotheses["symmetric_support"],
         "symmetry_witness": None
         if props.symmetry_witness is None
-        else _element(props.symmetry_witness),
+        else list(props.symmetry_witness),
         "coherent": props.coherence.ok,
         "coherence": {
             "span_ok": props.coherence.span_ok,
             "pairing_failures": [
-                {"g": _element(g), "h": _element(h), "gram": a}
+                {"g": list(g), "h": list(h), "gram": a}
                 for g, h, a in props.coherence.pairing_failures
             ],
         },

@@ -46,7 +46,6 @@ from .linalg import (
     check_indices,
     coordinate_subspace,
     dense_strings,
-    is_hermitian,
     nullspace,
     psd_counterexample,
 )
@@ -341,7 +340,7 @@ class GradedRing:
         for a, gram in enumerate(self.grams):
             if len(gram) != n or not gram.square:
                 report.add("malformed", (a,), f"Gram {a} is not {n}x{n}")
-            elif not is_hermitian(gram):
+            elif not gram.hermitian:
                 report.add("malformed", (a,), f"Gram {a} is not Hermitian")
 
     def _check_grading(self, report: ViolationReport) -> None:
@@ -411,44 +410,39 @@ class GradedRing:
             self._associativity_triples(report, range(self.dim))
 
     def _associativity_triples(self, report: ViolationReport, middles) -> None:
-        """Compare (e_i e_j) e_k with e_i (e_j e_k), in (i, j, k) order, for
-        every j in ``middles`` and every i and k where either side can be
-        nonzero: when e_i e_j != 0, where e_j e_k or some e_m e_k with e_m
-        in e_i e_j is nonzero; when e_i e_j = 0, where e_i e_m != 0 for a
-        term m of e_j e_k, found from the keys and kept per pair."""
+        """Report each triple with (e_i e_j) e_k != e_i (e_j e_k) and j in
+        ``middles``, in (i, j, k) order.  For a middle j the rows are the i
+        with a structure key (i, j), where the left side can be nonzero, or
+        (i, m) for a term m of some e_j e_k, where the right side can; each
+        row sums both sides per k from the keys alone and compares them on
+        the k that either holds."""
         structure = self.structure
-        zero_ks: dict[tuple[int, int], set[int]] = {}
-        pairs = []
+        left_keys, right_keys = self._left_keys, self._right_keys
+        zero: dict[int, Scalar] = {}  # the side a row lacks; never written
+        found = []
         for j in middles:
-            pairs += [(i, j) for i in self._right_keys.get(j, ())]
-            for k in self._left_keys.get(j, ()):
-                for m, _ in structure[(j, k)]:
-                    for i in self._right_keys.get(m, ()):
-                        if (i, j) not in structure:
-                            zero_ks.setdefault((i, j), set()).add(k)
-        pairs += zero_ks
-        pairs.sort()
-        for i, j in pairs:
-            left = structure.get((i, j), ())
-            ks = zero_ks.get((i, j))
-            if ks is None:
-                ks = set(self._left_keys.get(j, ()))
-                for m, _ in left:
-                    ks.update(self._left_keys.get(m, ()))
-            for k in sorted(ks):
-                lhs: dict[int, Scalar] = {}
-                for m, c in left:
-                    add_scaled(lhs, c, structure.get((m, k), ()))
-                rhs: dict[int, Scalar] = {}
-                for m, c in structure.get((j, k), ()):
-                    add_scaled(rhs, c, structure.get((i, m), ()))
-                if lhs != rhs:
-                    report.add(
-                        "associativity",
-                        (i, j, k),
-                        f"(e{i} e{j}) e{k} = {_terms(lhs)} but "
-                        f"e{i} (e{j} e{k}) = {_terms(rhs)}",
-                    )
+            right = [(k, structure[(j, k)]) for k in left_keys.get(j, ())]
+            rows = set(right_keys.get(j, ()))
+            for _, entries in right:
+                for m, _ in entries:
+                    rows.update(right_keys.get(m, ()))
+            for i in rows:
+                lhs: dict[int, dict[int, Scalar]] = {}
+                for m, c in structure.get((i, j), ()):
+                    for k in left_keys.get(m, ()):
+                        add_scaled(lhs.setdefault(k, {}), c, structure[(m, k)])
+                rhs: dict[int, dict[int, Scalar]] = {}
+                for k, entries in right:
+                    for m, c in entries:
+                        if (terms := structure.get((i, m))) is not None:
+                            add_scaled(rhs.setdefault(k, {}), c, terms)
+                for k in lhs.keys() | rhs.keys():
+                    lk, rk = lhs.get(k, zero), rhs.get(k, zero)
+                    if lk != rk:
+                        found.append((i, j, k, _terms(lk), _terms(rk)))
+        for i, j, k, lhs, rhs in sorted(found):
+            detail = f"(e{i} e{j}) e{k} = {lhs} but e{i} (e{j} e{k}) = {rhs}"
+            report.add("associativity", (i, j, k), detail)
 
     def _check_orthogonality(self, report: ViolationReport) -> None:
         for a, gram in enumerate(self.grams):

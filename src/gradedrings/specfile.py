@@ -233,7 +233,7 @@ def ring_from_dict(data) -> GradedRing:
     if not isinstance(data, dict):
         raise SpecFileError("top level: expected a JSON object")
     version = _need(data, "format_version", "top level")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise SpecFileError(f"format_version: unsupported value {version!r}")
     group = _need(data, "group", "top level")
     if not isinstance(group, dict):

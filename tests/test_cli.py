@@ -479,6 +479,9 @@ SPEC_DIAGNOSTICS = [
     ),
     ("gram", put("1", "grams", 0), "grams[0]: expected a dense matrix or a sparse object"),
     ("metadata", put([], "metadata"), "metadata: expected an object"),
+    # both equal 1, but only a plain int is a format version
+    ("format-version-bool", put(True, "format_version"), "format_version: unsupported value True"),
+    ("format-version-float", put(1.0, "format_version"), "format_version: unsupported value 1.0"),
 ]
 
 

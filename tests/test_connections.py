@@ -126,6 +126,18 @@ def test_certificate_check_does_not_hide_library_errors(band2, monkeypatch):
         verify_certificate(band2, path)
 
 
+def test_certificate_check_does_not_hide_a_type_error(band2, monkeypatch):
+    g = band2.sorted_support()[0]
+    path = ConnectionPath((g, band2.signature.invert(g), g), g, g)
+
+    def broken(self, a, b):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(GroupSignature, "compose", broken)
+    with pytest.raises(TypeError, match="planted"):
+        verify_certificate(band2, path)
+
+
 # -- connection_classes -----------------------------------------------------------
 
 @pytest.mark.parametrize("size,bands", [(2, 1), (2, 3), (3, 2), (4, 3)])

@@ -404,6 +404,44 @@ def test_unit_rows_are_multiplied_on_both_sides(ring):
     assert verdicts[(e0, e1)] and verdicts[(e1, e2)]
 
 
+# Z-graded: e_1, e_2 of degree 1 square to e_0 + e_3, of degree 2; every
+# other product is zero
+SQUARES = GradedRing(
+    GroupSignature(1),
+    [(2,), (1,), (1,), (2,)],
+    {(1, 1): [(0, ONE), (3, ONE)], (2, 2): [(0, ONE), (3, ONE)]},
+    [identity_gram(4)],
+)
+
+
+def test_a_row_whose_key_targets_are_unit_pivots_needs_no_product(monkeypatch):
+    """span{e_0, e_1 + e_2, e_3}: the keys of the row e_1 + e_2 lead only
+    to e_0 and e_3, both unit pivots, so the row passes without a product."""
+    assert SQUARES.validate().ok
+    sub = span([{0: ONE}, {1: ONE, 2: ONE}, {3: ONE}], 4)
+    assert sorted(len(row) for row in sub.sparse.values()) == [1, 1, 2]
+    assert dense_is_graded_ideal(SQUARES, sub)
+    products = []
+    for name in ("multiply_basis_left", "multiply_basis_right"):
+        monkeypatch.setattr(GradedRing, name, lambda *args: products.append(args))
+    assert is_graded_ideal(SQUARES, sub) and products == []
+
+
+@pytest.mark.parametrize("sign, verdict", [(ONE, True), (-ONE, False)])
+def test_a_row_whose_key_targets_leave_the_unit_pivots_is_multiplied(sign, verdict, monkeypatch):
+    """span{e_1 + e_2, e_0 + sign e_3} has no unit pivot, so each product of
+    e_1 + e_2 is eliminated; they are all e_0 + e_3, which is in the span
+    only for sign 1."""
+    sub = span([{1: ONE, 2: ONE}, {0: ONE, 3: sign}], 4)
+    assert all(len(row) == 2 for row in sub.sparse.values())
+    assert dense_is_graded_ideal(SQUARES, sub) == verdict
+    calls = []
+    contains = Subspace.contains
+    monkeypatch.setattr(Subspace, "contains", lambda sub, w: calls.append(w) or contains(sub, w))
+    assert is_graded_ideal(SQUARES, sub) == verdict
+    assert calls and all(w == {0: ONE, 3: ONE} for w in calls)
+
+
 def echelon_covers(ring, dec):
     """Whether the complement and the class ideals span the ring, by
     extending one echelon basis with all their rows up to full rank."""

@@ -66,7 +66,9 @@ def test_compose_and_invert_match_the_canonicalizing_formula(free_rank, torsion)
         assert sig.invert_canonical(ca) == sig.invert(a)
 
 
-@pytest.mark.parametrize("bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0), (True, 0), (1, False)])
+@pytest.mark.parametrize(
+    "bad", [(1,), (1, 2, 3), (1, "2"), (1, 2.0), (1.5, 0), (True, 0), (1, False), 5, None]
+)
 def test_compose_and_invert_reject_malformed_elements(bad):
     sig = GroupSignature(1, (3,))
     with pytest.raises(MalformedInputError):

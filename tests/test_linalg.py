@@ -26,7 +26,6 @@ from gradedrings.linalg import (
     as_scalar,
     dense_strings,
     full_space,
-    is_hermitian,
     joint_orthogonal_complement,
     nullspace,
     pairing,
@@ -319,7 +318,7 @@ def test_psd_rejects_non_hermitian():
 def test_psd_hermitian_complex():
     i = Scalar(0, 1)
     m = _gram([[Scalar(2), i], [-i, Scalar(2)]])
-    assert is_hermitian(m)
+    assert m.hermitian
     assert psd_counterexample(m) is None  # eigenvalues 1 and 3
     m = _gram([[Scalar(1), Scalar(0, 2)], [Scalar(0, -2), Scalar(1)]])
     assert psd_counterexample(m) is not None  # eigenvalues -1 and 3
@@ -340,7 +339,7 @@ def test_psd_random_gram_matrices_are_psd():
             ]
             for i in range(n)
         ])
-        assert is_hermitian(gram)
+        assert gram.hermitian
         assert psd_counterexample(gram) is None
 
 
@@ -912,7 +911,7 @@ def test_sparse_gram_operations_match_dense_reference(system):
     n, grams, outer, inner, probes = system
     sparse_grams = [Gram([sparse(row) for row in gram]) for gram in grams]
     for gram, form in zip(grams, sparse_grams):
-        assert is_hermitian(form) and dense_is_hermitian(gram)
+        assert form.hermitian and dense_is_hermitian(gram)
         for u in probes:
             for v in probes:
                 assert pairing(sparse(u), sparse(v), form) == dense_pairing(u, v, gram)
@@ -1045,7 +1044,7 @@ def test_hermitian_verdict_matches_dense_reference(gram, a, b, defect):
         gram[i][j] = gram[j][i] = Scalar(2, 1)
     expected = dense_is_hermitian(gram)
     assert expected == (defect == "none" or (defect != "diagonal" and i == j))
-    assert is_hermitian(Gram([sparse(row) for row in gram])) == expected
+    assert Gram([sparse(row) for row in gram]).hermitian == expected
 
 
 def test_gram_keeps_the_nonzero_entries_of_sparse_rows():
@@ -1089,7 +1088,7 @@ def test_gram_records_non_square_input():
     assert not Gram([{1: ONE}]).square
     assert not Gram([{0: ONE, 1: ZERO}]).square  # a zero entry's index counts too
     assert Gram([]).square and Gram([{}, {1: ONE}]).square
-    assert not is_hermitian(Gram([{0: ONE}, {2: ONE}]))
+    assert not Gram([{0: ONE}, {2: ONE}]).hermitian
     with pytest.raises(MalformedInputError):
         psd_counterexample(Gram([{0: ONE}, {2: ONE}]))
     with pytest.raises(MalformedInputError):

@@ -525,6 +525,20 @@ def test_zero_product_branch_matches_dense_reference(make):
     assert zero_branch
 
 
+def test_a_dropped_product_is_reported_from_both_sides():
+    """Banded (3, 1) without its key (0, 1): e_0 e_1 = 0 now, so (0, 1, k)
+    has a zero left side and (i, 0, 1) a zero right side; the triples are
+    reported in (i, j, k) order whatever middle found them."""
+    base = banded_ring(BandedRingParams(3, 1))
+    structure = {key: entries for key, entries in base.structure.items() if key != (0, 1)}
+    ring = GradedRing(base.signature, base.degrees, structure, base.grams, base.labels)
+    violations = ring.validate().violations
+    assert violations == dense_associativity_violations(ring)
+    assert len(violations) == 7 and {v.kind for v in violations} == {"associativity"}
+    assert violations[0].where == (0, 1, 3)
+    assert violations[0].detail == "(e0 e1) e3 = 0 but e0 (e1 e3) = 1 e0"
+
+
 @pytest.mark.parametrize(
     "structure, kind, wheres",
     [

@@ -15,27 +15,30 @@ symmetrized-support element.  The final step is exempt from the prefix
 constraint and only has to land in {h, h^-1}, also in the symmetrized
 support; so the search walks only the steps g x with g, x and g x in it,
 which ``_symmetrized`` composes once per ring for the search and for
-:func:`is_support_multiplicative`.  It composes the packed forms of the
-ring's degree table, one int addition per pair, and decodes each product
-by looking it up among the packed elements.  Steps are tried in ascending
-lexicographic order of exponent vectors so the certificate found is
-deterministic.
+:func:`is_support_multiplicative`.  These work on the dense degree ids of
+the ring's degree table: the steps, the search's parent map and the class
+membership loop are keyed by id, and a pair is composed as the sum of
+packed forms, one int addition, and decoded by looking it up among the
+packed forms.  Ascending ids are ascending exponent vectors, so steps are
+tried in ascending lexicographic order and the certificate found is
+deterministic.  Degrees are tuples only in what the module returns.
 
 Certificates store the sequence g_1, ..., g_n itself, not the prefix
 products, and :func:`verify_certificate` rechecks the definition from
 scratch on tuples with the checked ``GroupSignature.compose``, so it reads
-neither the packed forms nor the steps the search walked.
+neither the ids, the packed forms nor the steps the search walked.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from .errors import MalformedInputError, PreconditionError, TheoremViolationError
 from .groups import Element
-from .ring import GradedRing, derived
+from .ring import DegreeTable, GradedRing, derived
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,26 @@ class ConnectionPath:
         return len(self.elements)
 
 
+class _Certificates(Mapping):
+    """Each support element's certificate, read-only: held per degree id and
+    looked up by degree through the ids of the degree table."""
+
+    def __init__(self, table: DegreeTable, paths: Mapping[int, ConnectionPath]):
+        self._table, self._paths = table, paths
+
+    def __getitem__(self, g):
+        path = self._paths.get(self._table.ids.get(g))
+        if path is None:
+            raise KeyError(g)
+        return path
+
+    def __iter__(self):
+        return map(self._table.degrees.__getitem__, self._paths)
+
+    def __len__(self):
+        return len(self._paths)
+
+
 @dataclass(frozen=True)
 class ConnectionClasses:
     """The partition of the support into connection classes.
@@ -61,7 +84,7 @@ class ConnectionClasses:
     """
 
     blocks: tuple[tuple[Element, ...], ...]
-    certificates: MappingProxyType[Element, ConnectionPath] = field(repr=False)
+    certificates: Mapping[Element, ConnectionPath] = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -74,21 +97,21 @@ class ConnectionClasses:
 
 @derived
 def _symmetrized(ring: GradedRing):
-    """The support with its inverses as a set, and per element g its steps:
-    the pairs (x, g x) with x and g x in the set, x ascending.
+    """The support with its inverses as a set of degrees, and per degree id
+    g its steps: the pairs (x, g x) of ids with x and g x in that set, x
+    ascending.  The identity is not in the set and has no steps.
 
     The group is abelian, so each unordered pair {g, x} with g <= x is
     composed once and its step filed under both; taking g in ascending order
     keeps each element's steps ascending.  A pair is composed as the sum of
-    its packed forms, decoded by looking it up among the packed elements of
+    its packed forms, decoded by looking it up among the packed forms of
     the set."""
     table = ring.degree_table()
-    closure = table.support.union(table.inverse.values())
-    ordered = sorted(closure)
-    packed = [table.packed[g] for g in ordered]
+    ordered = [k for k in range(len(table.degrees)) if k != table.one]
+    packed = [table.packed[k] for k in ordered]
     decode = dict(zip(packed, ordered)).get
     reduce = table.packing.reduce
-    steps = {g: [] for g in ordered}
+    steps: list[list[tuple[int, int]]] = [[] for _ in table.degrees]
     for i, g in enumerate(ordered):
         pg = packed[i]
         for x, gx in zip(ordered[i:], map(decode, reduce([pg + p for p in packed[i:]]))):
@@ -96,15 +119,18 @@ def _symmetrized(ring: GradedRing):
                 steps[g].append((x, gx))
                 if x != g:
                     steps[x].append((g, gx))
-    return closure, MappingProxyType({g: tuple(s) for g, s in steps.items()})
+    outside = [table.degrees[k] for k in ordered if not table.in_support[k]]
+    return table.support.union(outside), tuple([*map(tuple, steps)])
 
 
-def _bfs(ring: GradedRing, start: Element):
-    """Exhaust the prefix products reachable from ``start``; return the
-    parent map, in the order the states were discovered, and ``trail``,
-    which gives the element sequence that reaches a state."""
+def _bfs(ring: GradedRing, start: int):
+    """Exhaust the prefix products reachable from the degree id ``start``;
+    return the parent map of ids, in the order the states were discovered,
+    and ``trail``, which gives the element sequence, as degrees, that
+    reaches a state."""
     _, steps = _symmetrized(ring)
-    parent: dict[Element, tuple[Element, Element] | None] = {start: None}
+    degrees = ring.degree_table().degrees
+    parent: dict[int, tuple[int, int] | None] = {start: None}
 
     def trail(state):
         out = []
@@ -116,7 +142,7 @@ def _bfs(ring: GradedRing, start: Element):
                 break
             out.append(prev[1])
             cur = prev[0]
-        return tuple(reversed(out))
+        return tuple([degrees[k] for k in reversed(out)])
 
     queue = deque([start])
     while queue:
@@ -136,13 +162,14 @@ def connected(ring: GradedRing, g: Element, h: Element):
     length.
     """
     sig = ring.signature
-    sup = ring.support()
+    table = ring.degree_table()
     g = sig.element(g)
     h = sig.element(h)
-    if g not in sup or h not in sup:
+    if g not in table.support or h not in table.support:
         raise PreconditionError("both endpoints must lie in the support")
-    targets = {h, sig.invert(h)}
-    parent, trail = _bfs(ring, g)
+    target = table.ids[h]
+    targets = {target, table.inverse[target]}
+    parent, trail = _bfs(ring, table.ids[g])
     reached = next((state for state in parent if state in targets), None)
     return None if reached is None else ConnectionPath(trail(reached), g, h)
 
@@ -180,18 +207,19 @@ def verify_certificate(ring: GradedRing, path: ConnectionPath) -> bool:
 
 
 @derived
-def connection_classes(ring: GradedRing) -> ConnectionClasses:
-    """Partition the support into connection classes with certificates.
+def connection_class_ids(ring: GradedRing):
+    """The connection classes as blocks of degree ids, and per member id
+    its certificate.
 
     Classes are discovered by breadth-first searches started from the least
     unassigned element, so the result is independent of basis order, and
     that element is the first of its block.
     """
-    sup = ring.sorted_support()
-    inverse = ring.degree_table().inverse
-    assigned: set[Element] = set()
+    table = ring.degree_table()
+    sup, inverse, degrees = table.support_ids, table.inverse, table.degrees
+    assigned: set[int] = set()
     blocks = []
-    certificates: dict[Element, ConnectionPath] = {}
+    paths: dict[int, ConnectionPath] = {}
     for g in sup:
         if g in assigned:
             continue
@@ -205,15 +233,27 @@ def connection_classes(ring: GradedRing) -> ConnectionClasses:
             else:
                 continue
             members.append(h)
-            certificates[h] = ConnectionPath(trail(reached), g, h)
+            paths[h] = ConnectionPath(trail(reached), degrees[g], degrees[h])
         overlap = assigned.intersection(members)
         if overlap:
             raise TheoremViolationError(
-                f"connection classes are not disjoint at {sorted(overlap)[0]}"
+                f"connection classes are not disjoint at {degrees[min(overlap)]}"
             )
         assigned.update(members)
         blocks.append(tuple(members))
-    return ConnectionClasses(tuple(blocks), MappingProxyType(certificates))
+    return tuple(blocks), MappingProxyType(paths)
+
+
+@derived
+def connection_classes(ring: GradedRing) -> ConnectionClasses:
+    """Partition the support into connection classes with certificates
+    (see :func:`connection_class_ids`)."""
+    table = ring.degree_table()
+    blocks, paths = connection_class_ids(ring)
+    return ConnectionClasses(
+        tuple([tuple([table.degrees[k] for k in block]) for block in blocks]),
+        _Certificates(table, paths),
+    )
 
 
 @derived
@@ -222,24 +262,20 @@ def is_support_multiplicative(ring: GradedRing):
     h is in the support or the identity, and g h is again in the support.
 
     Returns (True, None) or (False, (g, h)) with the first failing pair in
-    ascending lexicographic degree order.  E_g E_h is nonzero exactly when
-    some structure key (i, j) has deg e_i = g and deg e_j = h, compared as
-    packed forms.  The h to try are the identity and the h of the support
-    steps (h, g h) of g.
+    ascending lexicographic degree order, which is the order of degree ids.
+    E_g E_h is nonzero exactly when some structure key (i, j) has e_i of
+    degree g and e_j of degree h.  The h to try are the identity and the h
+    of the support steps (h, g h) of g.
     """
     _, steps = _symmetrized(ring)
-    sup = ring.support()
-    packed = ring.degree_table().packed
-    # the degree of each basis element, packed
-    n, degrees = ring.dim, [packed[d] for d in ring.degrees]
-    nonzero = {(degrees[i], degrees[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
-    one = ring.identity_degree()
-    for g in ring.sorted_support():
-        pg = packed[g]
-        for h in sorted([one] + [h for h, gh in steps[g] if h in sup and gh in sup]):
-            ph = packed[h]
-            if (pg, ph) not in nonzero and (ph, pg) not in nonzero:
-                return False, (g, h)
+    table = ring.degree_table()
+    n, ids, sup = ring.dim, table.basis_ids, table.in_support
+    nonzero = {(ids[i], ids[j]) for i, j in ring.structure if 0 <= i < n and 0 <= j < n}
+    one = table.one
+    for g in table.support_ids:
+        for h in sorted([one] + [h for h, gh in steps[g] if sup[h] and sup[gh]]):
+            if (g, h) not in nonzero and (h, g) not in nonzero:
+                return False, (table.degrees[g], table.degrees[h])
     return True, None
 
 
@@ -249,7 +285,7 @@ def is_symmetric_support(ring: GradedRing):
     (False, witness) with the least support element whose inverse is
     missing."""
     table = ring.degree_table()
-    for g, inv in table.inverse.items():
-        if inv not in table.support:
-            return False, g
+    for g in table.support_ids:
+        if not table.in_support[table.inverse[g]]:
+            return False, table.degrees[g]
     return True, None

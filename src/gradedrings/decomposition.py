@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from types import MappingProxyType
 
-from .connections import ConnectionClasses, connection_classes
+from .connections import ConnectionClasses, connection_class_ids, connection_classes
 from .errors import PreconditionError, TheoremViolationError
 from .groups import Element
 from .linalg import (
@@ -47,45 +47,64 @@ from .ring import GradedRing, derived
 
 
 @derived
-def inverse_products(ring: GradedRing) -> Mapping[Element, Subspace]:
-    """g -> P_g = E_g E_{g^-1} for g in the support, ascending.
+def inverse_products(ring: GradedRing) -> Mapping[int, Subspace]:
+    """g -> P_g = E_g E_{g^-1} for g in the support, ascending, keyed by
+    degree id (see :class:`~gradedrings.ring.DegreeTable`).
 
     P_g is spanned by the products e_i e_j with i of degree g and j of
     degree g^-1, and such a product is zero unless (i, j) is a structure
     key, when it is that key's entry.  So only the keys are read, with j
     taken from the indices of degree g^-1, and no product is computed."""
     structure = ring.structure
+    table = ring.degree_table()
     spans = {}
-    for g, inv in ring.degree_table().inverse.items():
-        partners = set(ring.indices_of_degree(inv))
+    for g in table.support_ids:
+        partners = set(table.indices[table.inverse[g]])
         eb = EchelonBasis(ring.dim)
-        for i in ring.indices_of_degree(g):
+        for i in table.indices[g]:
             for j in ring.right_reach((i,)) & partners:
                 eb.add(dict(structure[(i, j)]))
         spans[g] = eb.to_subspace()
     return MappingProxyType(spans)
 
 
-def _inverse_products_span(ring: GradedRing, degrees) -> Subspace:
-    """Sum of the spans P_h for h in ``degrees``."""
+def _inverse_products_span(ring: GradedRing, ids) -> Subspace:
+    """Sum of the spans P_h for the degree ids h in ``ids``."""
     spans = inverse_products(ring)
     eb = EchelonBasis(ring.dim)
-    for h in degrees:
+    for h in ids:
         eb.extend(spans[h].sparse.values())
     return eb.to_subspace()
 
 
 def _class_parts(ring: GradedRing, block) -> tuple[Subspace, Subspace, Subspace]:
-    """Identity span, component sum and ideal of a connection class; an ideal
-    failing :func:`is_graded_ideal` is a theorem violation."""
+    """Identity span, component sum and ideal of a connection class, given
+    by degree ids; an ideal failing :func:`is_graded_ideal` is a theorem
+    violation."""
+    table = ring.degree_table()
     one_span = _inverse_products_span(ring, block)
-    comp_sum = coordinate_subspace(ring.dim, (i for h in block for i in ring.indices_of_degree(h)))
+    comp_sum = coordinate_subspace(ring.dim, (i for h in block for i in table.indices[h]))
     ideal = one_span.sum(comp_sum)
     if not is_graded_ideal(ring, ideal):
         raise TheoremViolationError(
-            f"class ideal of {list(block)} failed the graded-ideal check"
+            f"class ideal of {[table.degrees[h] for h in block]} failed the graded-ideal check"
         )
     return one_span, comp_sum, ideal
+
+
+@derived
+def _key_targets(ring: GradedRing) -> tuple[frozenset[int], ...]:
+    """Per basis index p, the targets k of the structure keys (p, j) and
+    (j, p): every product of e_p with a basis vector lies on them."""
+    n = ring.dim
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for (i, j), entries in ring.structure.items():
+        for k, _ in entries:
+            if 0 <= i < n:
+                targets[i].append(k)
+            if 0 <= j < n:
+                targets[j].append(k)
+    return tuple([*map(frozenset, targets)])
 
 
 def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
@@ -96,22 +115,21 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
     :mod:`gradedrings.linalg`).  A canonical row {p: 1} puts e_p in the
     subspace, so a product supported on such unit pivots is in it.  The
     products of any row are supported on the targets of the structure keys
-    of its coordinates (see :meth:`~gradedrings.ring.GradedRing.basis_products`):
-    when these are all unit pivots the row passes, and only otherwise is
-    each product that leaves them eliminated (see
+    of its coordinates: when these are all unit pivots the row passes, and
+    only otherwise is each product that leaves them eliminated (see
     :meth:`~gradedrings.ring.GradedRing.basis_multiples`).
     """
     if sub.ambient != ring.dim:
         raise PreconditionError("subspace ambient dimension does not match the ring")
     if sub.dim == ring.dim:
         return True  # the whole ring
-    degrees = ring.degrees
+    ids = ring.degree_table().basis_ids
+    targets = _key_targets(ring)
     units = {p for p, row in sub.sparse.items() if len(row) == 1}
     for row in sub.sparse.values():
-        if len(row) > 1 and len({degrees[i] for i in row}) > 1:
+        if len(row) > 1 and len({ids[i] for i in row}) > 1:
             return False
-        targets = {k for i in row for terms in ring.basis_products(i) for k, _ in terms}
-        if not targets <= units and not all(
+        if not all(targets[i] <= units for i in row) and not all(
             w.keys() <= units or sub.contains(w) for w in ring.basis_multiples(row)
         ):
             return False
@@ -121,7 +139,7 @@ def is_graded_ideal(ring: GradedRing, sub: Subspace) -> bool:
 @derived
 def identity_products_span(ring: GradedRing) -> Subspace:
     """Span of all products E_g E_{g^-1} with g running over the support."""
-    return _inverse_products_span(ring, ring.sorted_support())
+    return _inverse_products_span(ring, ring.degree_table().support_ids)
 
 
 @derived
@@ -192,11 +210,12 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
       nonzero products are paired with each e_i of degree g as they are,
       and no basis of P_h E_g is built.
     """
-    sup = ring.sorted_support()
+    table = ring.degree_table()
+    sup, degrees = table.support_ids, table.degrees
     span_ok = identity_spanned_by_products(ring)
 
     spans: list[Subspace] = []  # the distinct P_g
-    span_of: dict[Element, int] = {}
+    span_of: dict[int, int] = {}  # degree id g -> the index of P_g in spans
     known: dict[Subspace, int] = {}  # P_g -> its index in spans
     for g, p in inverse_products(ring).items():
         if p not in known:
@@ -225,7 +244,7 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
 
     failures = []
     for g in sup:
-        indices = ring.indices_of_degree(g)
+        indices = table.indices[g]
         products: dict[int, list] = {}  # reached span -> its nonzero u e_j, j of degree g
         for j in indices:
             for y in reaching.get(j, ()):
@@ -244,7 +263,9 @@ def is_coherent(ring: GradedRing) -> CoherenceReport:
             if bad := rhs ^ lhs.get(y, set()):
                 failing[y] = sorted(bad)
         if failing:
-            failures.extend((g, h, a) for h in sup for a in failing.get(span_of[h], ()))
+            failures.extend(
+                (degrees[g], degrees[h], a) for h in sup for a in failing.get(span_of[h], ())
+            )
     return CoherenceReport(span_ok, tuple(failures))
 
 
@@ -290,7 +311,7 @@ def decompose(ring: GradedRing) -> IdealDecomposition:
     :func:`~gradedrings.linalg.pairing_vanishes`).
     """
     classes = connection_classes(ring)
-    parts = [_class_parts(ring, block) for block in classes.blocks]
+    parts = [_class_parts(ring, block) for block in connection_class_ids(ring)[0]]
     identity_spans, component_sums, ideals = (tuple([p[k] for p in parts]) for k in range(3))
 
     complement, covers = identity_complement(ring)

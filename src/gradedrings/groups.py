@@ -12,14 +12,17 @@ and ``invert`` run it on their arguments.  A ring keeps its degrees as given;
 each attained degree once, and past that table the library assumes canonical
 degrees and uses the unchecked ``invert_canonical``.
 
-The analyses compose degrees as packed ints, never as tuples: the degree
-table of :mod:`gradedrings.ring` packs each attained degree once with a
-:class:`Packing`, whose free fields are wide enough for the sum of two
-table degrees, and the grading check, the support-step table of
-:mod:`gradedrings.connections` and the support-multiplicative check add
-packed forms.  Tuples are composed only by ``compose``, for checking
-certificates, and by ``compose_canonical`` for generated rings and
-violation details.
+The analyses name degrees by dense ids and compose them as packed ints,
+never as tuples: the degree table of :mod:`gradedrings.ring` numbers the
+identity, the attained degrees and their inverses in ascending order, and
+packs each attained degree once with a :class:`Packing`, whose free fields
+are wide enough for the sum of two table degrees.  An inverse's packed
+form is read from its degree's, so a degree is inverted as a tuple only
+to name an inverse that no basis element attains.  The grading check, the
+support-step table of :mod:`gradedrings.connections` and the
+support-multiplicative check add packed forms.  Tuples are composed only
+by ``compose``, for checking certificates, and by ``compose_canonical``
+for generated rings and violation details.
 
 >>> sig = GroupSignature(free_rank=1, torsion=(3,))
 >>> sig.compose((2, 2), (1, 2))
@@ -39,6 +42,14 @@ coordinates the sum is then reduced:
 True
 >>> packing = sig.packing(bound=2)
 >>> packing.reduce([packing.pack((2, 2)) + packing.pack((1, 2))]) == [packing.pack((3, 1))]
+True
+
+The inverse negates the free digits and takes each torsion digit t to
+m - t, which :meth:`Packing.reduce` takes to 0 where t = 0:
+
+>>> packing.reduce([packing.moduli - packing.pack((2, 2))]) == [packing.pack(sig.invert((2, 2)))]
+True
+>>> packing.reduce([packing.moduli - packing.pack((1, 0))]) == [packing.pack((-1, 0))]
 True
 """
 

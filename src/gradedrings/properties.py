@@ -60,9 +60,10 @@ from .ring import GradedRing, derived
 
 def is_maximal_length(ring: GradedRing) -> bool:
     """Identity component nonzero and every support component a line."""
-    if not ring.indices_of_degree(ring.identity_degree()):
+    table = ring.degree_table()
+    if not table.indices[table.one]:
         return False
-    return all(len(ring.indices_of_degree(g)) == 1 for g in ring.support())
+    return all(len(table.indices[g]) == 1 for g in table.support_ids)
 
 
 @derived
@@ -211,7 +212,8 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
                     if j not in generators:
                         generators.add(j)
                         stack.append(j)
-    one_indices = ring.indices_of_degree(ring.identity_degree())
+    table = ring.degree_table()
+    one_indices = table.indices[table.one]
     if one_indices and sample_count > 0:
         rng = random.Random(seed)
         for _ in range(sample_count):
@@ -224,7 +226,7 @@ def graded_simple_oracle(ring: GradedRing, sample_count: int = 8, seed: int = 0)
                 return OracleResult(
                     False, v, tested, "closure of a sampled identity-component vector is proper"
                 )
-    if all(len(ring.indices_of_degree(g)) == 1 for g in ring.attained_degrees()):
+    if all(len(indices) <= 1 for indices in table.indices):
         return OracleResult(True, None, tested, "every homogeneous line was tested")
     if (
         is_maximal_length(ring)

@@ -36,7 +36,6 @@ from types import MappingProxyType
 from .errors import MalformedInputError
 from .groups import Element, GroupSignature, Packing
 from .linalg import (
-    ONE,
     EchelonBasis,
     Gram,
     Scalar,
@@ -81,20 +80,34 @@ class ViolationReport:
 
 @dataclass(frozen=True)
 class DegreeTable:
-    """The attained degrees, each checked once against the signature.
+    """The degrees the analyses meet, each checked once against the signature
+    and numbered: the identity, the attained canonical degrees and their
+    inverses have the ids 0, 1, ... in ascending order of their tuples, so a
+    loop in id order is a loop in degree order.
 
-    ``inverse`` maps each canonical non-identity degree, ascending, to its
-    inverse and ``support`` holds the same degrees; ``malformed`` lists the
-    basis indices whose degree is not canonical.  ``packed`` maps the
-    identity, each canonical degree and each inverse to its form under
-    ``packing``, whose bound is the largest absolute free coordinate among
-    them, so the analyses compose degrees by adding packed forms."""
+    Per id, ``degrees`` holds the degree, ``packed`` its form under
+    ``packing``, ``inverse`` the id of its inverse, ``in_support`` whether
+    a basis element attains it and it is not the identity, and ``indices``
+    the basis indices of that degree.  ``support_ids`` lists the support
+    ascending and ``one`` is the identity's id.  Per basis index,
+    ``basis_ids`` holds the id of its degree, or None where ``malformed``
+    lists the index as one whose degree is not canonical.  ``ids`` and
+    ``support`` read ids and the support by degree, for the public API.
+    The packing's bound is the largest absolute free coordinate of the
+    table, so the analyses compose degrees by adding packed forms."""
 
-    support: frozenset[Element]
-    inverse: Mapping[Element, Element]
+    degrees: tuple[Element, ...]
+    packed: tuple[int, ...]
+    inverse: tuple[int, ...]
+    in_support: tuple[bool, ...]
+    indices: tuple[tuple[int, ...], ...]
+    support_ids: tuple[int, ...]
+    one: int
+    basis_ids: tuple[int | None, ...]
     malformed: tuple[int, ...]
+    ids: Mapping[Element, int]
+    support: frozenset[Element]
     packing: Packing
-    packed: Mapping[Element, int]
 
 
 def _terms(v: dict[int, Scalar]) -> str:
@@ -165,11 +178,6 @@ class GradedRing:
             {key: tuple(sorted(row.items())) for key, row in sorted(terms.items()) if row}
         )
         self.grams = tuple([g if isinstance(g, Gram) else Gram(g) for g in grams])
-        # index maps used all over the analyses
-        by_degree: dict[Element, list[int]] = {}
-        for i, d in enumerate(self.degrees):
-            by_degree.setdefault(d, []).append(i)
-        self._by_degree = {d: tuple(ix) for d, ix in by_degree.items()}
         # j with (i, j) a structure key, per i; i with (i, j) one, per j;
         # both ascending
         self._left_keys: dict[int, list[int]] = {}
@@ -189,38 +197,79 @@ class GradedRing:
         return self.signature.identity()
 
     def attained_degrees(self) -> list[Element]:
-        return sorted(self._by_degree)
+        table = self.degree_table()
+        return [d for d, ix in zip(table.degrees, table.indices) if ix]
 
     def indices_of_degree(self, g: Element) -> tuple[int, ...]:
-        return self._by_degree.get(tuple(g), ())
+        table = self.degree_table()
+        k = table.ids.get(tuple(g))
+        return () if k is None else table.indices[k]
 
     @derived
     def _degree_table(self) -> DegreeTable:
         sig = self.signature
-        # keyed with the coordinate types as well: 1.0 == 1, but only 1 is canonical
-        canonical: dict[tuple, bool] = {}
-        malformed = []
-        for i, d in enumerate(self.degrees):
-            key = (d, tuple([*map(type, d)]))
-            if key not in canonical:
-                try:
-                    canonical[key] = sig.element(d) == d
-                except MalformedInputError:
-                    canonical[key] = False
-            if not canonical[key]:
-                malformed.append(i)
         one = sig.identity()
-        good = {d for (d, _), ok in canonical.items() if ok}
-        inverse = {g: sig.invert_canonical(g) for g in sorted(good) if g != one}
+        found = [one]  # the identity, then the support, then inverses outside it
+        # per basis index, its degree's place in found, or None if it is not
+        # canonical; each distinct degree is checked once, keyed with its
+        # coordinate types as well: 1.0 == 1, but only 1 is canonical
+        places: dict[tuple, int | None] = {}
+        place = []
+        for d in self.degrees:
+            key = (d, tuple([*map(type, d)]))
+            x = places.get(key, -1)
+            if x == -1:
+                try:
+                    canonical = sig.element(d) == d
+                except MalformedInputError:
+                    canonical = False
+                if not canonical:
+                    x = None
+                elif d == one:
+                    x = 0
+                else:
+                    x = len(found)
+                    found.append(d)
+                places[key] = x
+            place.append(x)
+        attained = len(found)
         r = sig.free_rank
-        packing = sig.packing(max(map(abs, chain.from_iterable([d[:r] for d in good])), default=0))
-        packed = {d: packing.pack(d) for d in [one, *good, *inverse.values()]}
+        packing = sig.packing(max(map(abs, chain.from_iterable([d[:r] for d in found])), default=0))
+        packed = [*map(packing.pack, found)]
+        # an inverse's packed form negates the free digits and takes each
+        # torsion digit t to m - t, reduced; only an inverse that no basis
+        # element attains is inverted as a tuple, to name it
+        position = dict(zip(packed, range(attained)))
+        inverse = [0] * attained
+        for x, p in enumerate(packing.reduce([packing.moduli - p for p in packed])):
+            if p not in position:
+                position[p] = len(found)
+                found.append(sig.invert_canonical(found[x]))
+                packed.append(p)
+                inverse.append(x)
+            inverse[x] = position[p]
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # place in found -> id
+        basis_ids = tuple([None if x is None else rank[x] for x in place])
+        indices: list[list[int]] = [[] for _ in order]
+        for i, k in enumerate(basis_ids):
+            if k is not None:
+                indices[k].append(i)
+        degrees = tuple([found[x] for x in order])
+        in_support = tuple([0 < x < attained for x in order])
         return DegreeTable(
-            frozenset(inverse),
-            MappingProxyType(inverse),
-            tuple(malformed),
-            packing,
-            MappingProxyType(packed),
+            degrees=degrees,
+            packed=tuple([packed[x] for x in order]),
+            inverse=tuple([rank[inverse[x]] for x in order]),
+            in_support=in_support,
+            indices=tuple([*map(tuple, indices)]),
+            support_ids=tuple([k for k, s in enumerate(in_support) if s]),
+            one=rank[0],
+            basis_ids=basis_ids,
+            malformed=tuple([i for i, x in enumerate(place) if x is None]),
+            ids=MappingProxyType({d: k for k, d in enumerate(degrees)}),
+            support=frozenset(found[1:attained]),
+            packing=packing,
         )
 
     def degree_table(self) -> DegreeTable:
@@ -236,7 +285,8 @@ class GradedRing:
         return self.degree_table().support
 
     def sorted_support(self) -> list[Element]:
-        return list(self.degree_table().inverse)
+        table = self.degree_table()
+        return [table.degrees[k] for k in table.support_ids]
 
     def component(self, g: Element) -> Subspace:
         """Homogeneous component of degree g (zero subspace if unattained)."""
@@ -249,10 +299,11 @@ class GradedRing:
         """The nonzero homogeneous pieces of v as (degree, vector) pairs in
         ascending degree order."""
         check_indices(v, self.dim)
-        parts: dict[Element, dict[int, Scalar]] = {}
+        table = self.degree_table()
+        parts: dict[int, dict[int, Scalar]] = {}  # degree id -> piece
         for i, x in v.items():
-            parts.setdefault(self.degrees[i], {})[i] = x
-        return sorted(parts.items())
+            parts.setdefault(table.basis_ids[i], {})[i] = x
+        return [(table.degrees[k], parts[k]) for k in sorted(parts)]
 
     # -- products ----------------------------------------------------------
 
@@ -302,13 +353,6 @@ class GradedRing:
             if j in left and (w := self.multiply_basis_left(j, u)):
                 yield w
 
-    def basis_products(self, p: int) -> list[tuple[tuple[int, Scalar], ...]]:
-        """The nonzero e_p e_j, then the nonzero e_j e_p, each as the
-        (k, c) terms of its structure key (p, j) or (j, p), j ascending."""
-        structure = self.structure
-        products = [structure[(p, j)] for j in self._left_keys.get(p, ())]
-        return products + [structure[(j, p)] for j in self._right_keys.get(p, ())]
-
     def product_span(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of all products of one subspace with another."""
         eb = EchelonBasis(self.dim)
@@ -347,7 +391,7 @@ class GradedRing:
         """Compare packed degrees: ``validate`` runs this check only when
         every degree is canonical, so each has a packed form."""
         table = self._degree_table()
-        packed = [table.packed[d] for d in self.degrees]
+        packed = [table.packed[k] for k in table.basis_ids]
         products = table.packing.reduce([packed[i] + packed[j] for i, j in self.structure])
         for ((i, j), entries), expected in zip(self.structure.items(), products):
             for k, c in entries:
@@ -469,12 +513,10 @@ class GradedRing:
                 )
 
     def _check_hausdorff(self, report: ViolationReport) -> None:
+        """The joint kernel is that of the Grams' rows stacked.  The kernel of
+        their sum holds it, and equals it when every Gram is PSD."""
         n = self.dim
-        total: list[dict[int, Scalar]] = [{} for _ in range(n)]
-        for gram in self.grams:
-            for i, row in enumerate(gram.sparse):
-                add_scaled(total[i], ONE, row.items())
-        kernel = nullspace(total, n)
+        kernel = nullspace([row for gram in self.grams for row in gram.sparse], n)
         if not kernel.is_zero():
             witness = next(iter(kernel.sparse.values()))
             report.add(

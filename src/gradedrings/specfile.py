@@ -87,17 +87,20 @@ def dumps_json(value) -> str:
     for values built from str-keyed dicts, lists, tuples, str, int, float,
     bool and None; anything else raises ``TypeError``.  Strings go through
     json's own escaper and floats through ``json.dumps``; a list of only
-    strs or only ints (never bools) is written in one join.  Unlike json's
-    indenting encoder, whose closures form a reference cycle per call, it
-    leaves no garbage for the cyclic collector."""
+    strs or only ints (never bools) is written in one join, and a list of
+    ints once per value and indentation within a call, since reports repeat
+    degree vectors many times (the rows of strs they hold seldom repeat).
+    Unlike json's indenting encoder, whose closures form a reference cycle
+    per call, it leaves no garbage for the cyclic collector."""
     parts: list[str] = []
-    _write_json(value, "\n", parts)
+    _write_json(value, "\n", parts, {})
     return "".join(parts) + "\n"
 
 
-def _write_json(value, newline: str, parts: list[str]) -> None:
+def _write_json(value, newline: str, parts: list[str], leaves: dict[tuple, str]) -> None:
     """Append the encoding of ``value`` to ``parts``; ``newline`` is a line
-    break followed by the indentation of the line ``value`` starts on."""
+    break followed by the indentation of the line ``value`` starts on, and
+    ``leaves`` maps (newline, *items) to the text of a list of ints."""
     if isinstance(value, str):
         parts.append(encode_basestring_ascii(value))
     elif value is None:
@@ -116,14 +119,22 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
             return
         inner = newline + "  "
         kinds = set(map(type, value))
-        if kinds == _STR_ONLY or kinds == _INT_ONLY:
-            encode = encode_basestring_ascii if kinds == _STR_ONLY else int.__repr__
-            parts.append("[" + inner + ("," + inner).join(map(encode, value)) + newline + "]")
+        if kinds == _INT_ONLY:
+            key = (newline, *value)
+            text = leaves.get(key)
+            if text is None:
+                joined = ("," + inner).join(map(int.__repr__, value))
+                text = leaves[key] = "[" + inner + joined + newline + "]"
+            parts.append(text)
+            return
+        if kinds == _STR_ONLY:
+            joined = ("," + inner).join(map(encode_basestring_ascii, value))
+            parts.append("[" + inner + joined + newline + "]")
             return
         sep = "[" + inner
         for item in value:
             parts.append(sep)
-            _write_json(item, inner, parts)
+            _write_json(item, inner, parts, leaves)
             sep = "," + inner
         parts.append(newline + "]")
     elif isinstance(value, dict):
@@ -134,7 +145,7 @@ def _write_json(value, newline: str, parts: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(value):
             parts.append(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(value[key], inner, parts)
+            _write_json(value[key], inner, parts, leaves)
             sep = "," + inner
         parts.append(newline + "}")
     else:

@@ -7,6 +7,7 @@ from gradedrings import (
     banded_ring,
     group_algebra,
 )
+from gradedrings.connections import _symmetrized
 from gradedrings.linalg import ONE, ZERO, as_scalar, pairing
 
 
@@ -131,6 +132,19 @@ def reference_support_multiplicative(ring):
             if sig.compose(g, h) in sup and (g, h) not in nonzero and (h, g) not in nonzero:
                 return False, (g, h)
     return True, None
+
+
+def steps_by_degree(ring):
+    """The support-step table of ``connections._symmetrized`` with its degree
+    ids decoded: per element g of the support with its inverses, the pairs
+    (x, g x) of degrees, x ascending."""
+    table = ring.degree_table()
+    degrees = table.degrees
+    return {
+        degrees[g]: tuple([(degrees[x], degrees[gx]) for x, gx in pairs])
+        for g, pairs in enumerate(_symmetrized(ring)[1])
+        if g != table.one
+    }
 
 
 def rebased_units(ring, x, y):

@@ -19,8 +19,7 @@ from gradedrings import (
     random_ring,
     verify_certificate,
 )
-from gradedrings.connections import _symmetrized
-from conftest import identity_gram
+from conftest import identity_gram, steps_by_degree
 
 
 def band_degree(n, m, size):
@@ -300,11 +299,11 @@ def direct_sum_pair():
 
 # -- one search mode --------------------------------------------------------------
 
-def _early_exit_path(ring, start, targets):
+def _early_exit_path(steps, start, targets):
     """The element trail of the two-mode search ``connected`` used before it
-    shared the exhaustive one: stop at the first product, final step
-    included, that lands in ``targets``; None when none does."""
-    _, steps = _symmetrized(ring)
+    shared the exhaustive one, on the steps decoded to degrees: stop at the
+    first product, final step included, that lands in ``targets``; None
+    when none does."""
     parent = {start: None}
 
     def trail(state):
@@ -348,10 +347,11 @@ def test_connected_returns_the_early_exit_search_path():
         classes = connection_classes(ring)
         block_of = {g: block for block in classes.blocks for g in block}
         support = ring.sorted_support()
+        steps = steps_by_degree(ring)
         for g in support:
             for h in support:
                 path = connected(ring, g, h)
-                elements = _early_exit_path(ring, g, {h, ring.signature.invert(h)})
+                elements = _early_exit_path(steps, g, {h, ring.signature.invert(h)})
                 if elements is None:
                     assert path is None, (g, h)
                 else:

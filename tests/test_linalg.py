@@ -509,7 +509,9 @@ def test_exact_arithmetic_builds_few_fractions(monkeypatch):
     scalar built a fresh ``Fraction(0)`` for its imaginary part, every
     product and sum went through ``Fraction`` arithmetic and ``add_scaled``
     multiplied by one, ``validate`` on banded (5, 3) with weights (1, 2)
-    made 8,100 and ``properties_report`` on banded (6, 1) made 2,840."""
+    made 8,100 and ``properties_report`` on banded (6, 1) made 2,840.
+    ``validate`` now reads the joint kernel from the Grams' rows as they are
+    and may build none; the second count shows the counter is live."""
     from gradedrings import BandedRingParams, banded_ring, properties_report
 
     banded = banded_ring(BandedRingParams(5, 3, weights=(Fraction(1), Fraction(2))))
@@ -524,7 +526,7 @@ def test_exact_arithmetic_builds_few_fractions(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted)
     assert banded.validate().ok
-    assert 0 < count <= 8100 // 10
+    assert count <= 8100 // 10
     count = 0
     report = properties_report(oracle)
     assert report.simple_by_theorem is True and report.oracle.verdict is True
@@ -736,8 +738,8 @@ class CountingRows(dict):
 
 
 def test_inserting_rows_that_no_stored_row_holds_scans_none(monkeypatch):
-    """Counts, not seconds: the Hausdorff check inserts one row of the
-    summed Gram per coordinate into one EchelonBasis, and on banded (5, 3)
+    """Counts, not seconds: the Hausdorff check inserts the rows of the
+    Grams into one EchelonBasis until it has full rank, and on banded (5, 3)
     each row is a single diagonal entry, so no stored row holds its pivot.
     Scanning every stored row per insertion visited 0 + 1 + ... + 74 rows."""
     bases = []

@@ -1,13 +1,14 @@
-"""Packed degrees against the tuple group law.
+"""Packed degrees and degree ids against the tuple group law.
 
-The analyses compose degrees as packed ints (``groups.Packing``): the
-support-step table of ``connections._symmetrized``, the grading check of
-``GradedRing.validate`` and ``is_support_multiplicative``.  Each is compared
-here with a test-local reference that composes tuples with the checked
-``GroupSignature.compose``, on the banded grid, random rings, torsion group
-algebras, a mixed free and torsion grading, degrees far beyond 32 and 64
-bits, and planted defects that a packed law with too narrow fields would
-miss.
+The analyses name degrees by the dense ids of the degree table and compose
+them as packed ints (``groups.Packing``): the support-step table of
+``connections._symmetrized``, the grading check of ``GradedRing.validate``
+and ``is_support_multiplicative``.  Each is compared here with a test-local
+reference that composes tuples with the checked ``GroupSignature.compose``,
+on the banded grid, random rings, torsion group algebras, a mixed free and
+torsion grading, degrees far beyond 32 and 64 bits, and planted defects
+that a packed law with too narrow fields would miss; the ids and their
+inverses are compared with ``invert_canonical``.
 """
 
 import random
@@ -25,15 +26,17 @@ from gradedrings import (
     direct_sum,
     group_algebra,
     is_support_multiplicative,
+    is_symmetric_support,
     random_ring,
     verify_certificate,
 )
 from gradedrings.connections import _symmetrized
+from gradedrings.decomposition import inverse_products
 from gradedrings.groups import Packing
 from gradedrings.linalg import ONE
 from gradedrings.ring import ViolationReport
 
-from conftest import identity_gram, reference_support_multiplicative
+from conftest import identity_gram, reference_support_multiplicative, steps_by_degree
 
 # -- the tuple-law references -------------------------------------------------------
 
@@ -142,6 +145,10 @@ FAMILIES = (
     + [(f"degrees-below-2**{bits}", lambda bits=bits: degree_ring(
         GroupSignature(2), [(2**bits - 1, 0), (-2, 1), (1 - 2**bits, 3)]))
        for bits in (40, 70)]
+    # (-2)(-1) = -3 is a step of the symmetrized support but not in the
+    # support, and -1 sorts before the identity
+    + [("z-steps-outside-the-support",
+        lambda: degree_ring(GroupSignature(1), [(-2,), (-1,), (3,)]))]
 )
 
 
@@ -151,10 +158,10 @@ def family_ring(request):
 
 
 def test_step_table_matches_the_tuple_law(family_ring):
-    closure, steps = _symmetrized(family_ring)
+    closure, _ = _symmetrized(family_ring)
     expected_closure, expected_steps = tuple_law_steps(family_ring)
     assert closure == expected_closure
-    assert dict(steps) == expected_steps
+    assert steps_by_degree(family_ring) == expected_steps
 
 
 def test_validate_matches_the_tuple_law(family_ring):
@@ -174,7 +181,7 @@ def test_families_reach_wrap_around_and_wide_fields():
         ring = make()
         sig = ring.signature
         r = sig.free_rank
-        for g, pairs in _symmetrized(ring)[1].items():
+        for g, pairs in steps_by_degree(ring).items():
             wraps += sum(
                 any(a + b >= m for a, b, m in zip(g[r:], x[r:], sig.torsion)) for x, _ in pairs
             )
@@ -300,27 +307,100 @@ def test_packed_sum_is_the_packed_product(free_rank, torsion, bound):
 def test_degree_table_packing_bound_is_its_largest_coordinate():
     ring = huge_degree_ring(70)
     table = ring.degree_table()
-    assert table.packing == ring.signature.packing(2**70)
-    assert set(table.packed) == {ring.identity_degree()} | table.support | set(
-        table.inverse.values()
-    )
+    sig = ring.signature
+    assert table.packing == sig.packing(2**70)
+    assert set(table.degrees) == {sig.identity()} | table.support | {
+        sig.invert(g) for g in table.support
+    }
+    assert table.packed == tuple(map(table.packing.pack, table.degrees))
+
+
+# -- dense degree ids -----------------------------------------------------------------
+
+
+def test_degree_ids_are_ascending_with_their_inverses(family_ring):
+    """The ids number the identity, the support and its inverses in
+    ascending order, and each id's inverse, found from the packed forms, is
+    the tuple inverse."""
+    ring = family_ring
+    sig = ring.signature
+    table = ring.degree_table()
+    support = {d for d in ring.degrees if d != sig.identity()}
+    expected = sorted(support | {sig.invert_canonical(g) for g in support} | {sig.identity()})
+    assert list(table.degrees) == expected
+    assert table.degrees[table.one] == sig.identity()
+    for k, g in enumerate(table.degrees):
+        assert table.degrees[table.inverse[k]] == sig.invert_canonical(g)
+        assert table.in_support[k] == (g in support)
+        assert table.indices[k] == tuple(i for i, d in enumerate(ring.degrees) if d == g)
+    assert [table.degrees[k] for k in table.basis_ids] == list(ring.degrees)
+    assert table.support_ids == tuple(k for k, s in enumerate(table.in_support) if s)
+
+
+def test_an_asymmetric_mixed_support_names_inverses_outside_it():
+    """Z x Z/3 x Z/4 with a support that lacks some inverses: the table
+    names them, and the witness is the least support element whose
+    inverse is missing."""
+    sig = GroupSignature(1, (3, 4))
+    ring = degree_ring(sig, [(0, 0, 0), (1, 1, 1), (2, 0, 3), (-1, 2, 3), (0, 0, 2), (3, 1, 1),
+                             (0, 1, 0), (1, 1, 1), (0, 2, 0), (-2, 0, 0)])
+    table = ring.degree_table()
+    outside = [g for k, g in enumerate(table.degrees) if not table.in_support[k] and k != table.one]
+    assert outside == [(-3, 2, 3), (-2, 0, 1), (2, 0, 0)]
+    for k, g in enumerate(table.degrees):
+        assert table.degrees[table.inverse[k]] == sig.invert_canonical(g)
+    assert is_symmetric_support(ring) == (False, (-2, 0, 0))
+
+
+class CountedDegree(tuple):
+    """A degree that counts the times it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        CountedDegree.hashes += 1
+        return tuple.__hash__(self)
+
+
+def test_analyses_past_the_degree_table_hash_no_degree():
+    """Counts, not seconds: on banded (5, 3), once the degree table is
+    built, the connection classes, the support-multiplicative check and
+    the spans P_g read degrees by id only.  Keyed by degree tuples, one
+    ``decompose`` hashed about 3,000 of them."""
+    ring = banded_ring(BandedRingParams(5, 3))
+    ring.degrees = tuple(CountedDegree(d) for d in ring.degrees)
+    ring.degree_table()
+    assert CountedDegree.hashes > 0  # the counter is live
+    CountedDegree.hashes = 0
+    assert connection_classes(ring).count == 3
+    assert is_support_multiplicative(ring) == (True, None)
+    assert len(inverse_products(ring)) == 60
+    assert CountedDegree.hashes == 0
 
 
 # -- the certificate check is independent of the packed search ---------------------
 
 
 def test_verify_certificate_does_not_read_the_packed_forms(monkeypatch):
-    """With every packed form garbage, the search walks wrong steps, but
-    ``verify_certificate`` still accepts a valid certificate and rejects a
-    bad one: it composes tuples with the checked law."""
+    """With packed forms that add the coordinates of the two bands, a packed
+    sum is a product in a quotient group where the bands meet, so the search
+    walks wrong steps and joins the two classes; but ``verify_certificate``
+    still accepts a valid certificate and rejects a bad one: it composes
+    tuples with the checked law."""
     good = banded_ring(BandedRingParams(3, 2))
     classes = connection_classes(good)
     assert classes.count == 2
     first, second = (block[0] for block in classes.blocks)
 
-    monkeypatch.setattr(Packing, "pack", lambda self, a: hash(a) % 3)
+    pack = Packing.pack
+
+    def folded(self, a):
+        # coordinate 2 i + b is row i of band b
+        return pack(self, (a[0] + a[1], 0, a[2] + a[3], 0, a[4] + a[5], 0))
+
+    monkeypatch.setattr(Packing, "pack", folded)
     garbage = banded_ring(BandedRingParams(3, 2))
-    assert dict(_symmetrized(garbage)[1]) != dict(_symmetrized(good)[1])
+    assert steps_by_degree(garbage) != steps_by_degree(good)
     for member, path in classes.certificates.items():
         assert verify_certificate(garbage, path), member
     assert not verify_certificate(garbage, ConnectionPath((first,), first, second))

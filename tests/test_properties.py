@@ -957,11 +957,13 @@ def test_inverse_products_match_the_product_spans_of_components():
     products of the wrong degree and Grams that fail validate."""
     rings = list(COHERENCE_RINGS) + [ring for _, ring in INVALID_COHERENCE_RINGS]
     for ring in rings + [out_of_range_keys_ring()]:
-        inverse = ring.degree_table().inverse
+        table = ring.degree_table()
         spans = inverse_products(ring)
-        assert list(spans) == list(inverse)
-        for g, inv in inverse.items():
-            assert spans[g] == ring.product_span(ring.component(g), ring.component(inv))
+        assert [table.degrees[g] for g in spans] == ring.sorted_support()
+        for g, p in spans.items():
+            g, inv = table.degrees[g], table.degrees[table.inverse[g]]
+            assert inv == ring.signature.invert(g)
+            assert p == ring.product_span(ring.component(g), ring.component(inv))
 
 
 def out_of_range_keys_ring():

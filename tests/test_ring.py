@@ -261,7 +261,8 @@ def test_degree_outside_its_torsion_range_is_malformed():
         connection_classes(ring)
     canonical = GradedRing(sig, [(0,), (1,), (2,), (1,)], {}, [identity_gram(4)])
     assert canonical.validate().ok
-    assert canonical.degree_table().inverse == {(1,): (2,), (2,): (1,)}
+    table = canonical.degree_table()
+    assert table.degrees == ((0,), (1,), (2,)) and table.inverse == (0, 2, 1)
 
 
 def test_zero_product_ring_validates():
@@ -641,6 +642,13 @@ def _gram_defect_rings():
               "[1, 0, -1] is in the joint kernel")],
         ),
         (
+            # the Grams sum to zero, but Gram 0 pairs e_0 with itself to 1:
+            # the joint kernel is not the kernel of the sum
+            ring([[{0: ONE}], [{0: -ONE}]], degrees=((),)),
+            [("psd", (1,), "Gram 1 is not positive semidefinite; "
+              "witness [1] has negative square")],
+        ),
+        (
             # a two-dimensional joint kernel: the first canonical row is named
             ring([[{0: ONE, 1: ONE, 2: ONE}] * 3], degrees=((), (), ())),
             [("hausdorff", (), "the Gram family does not separate points; "
@@ -732,6 +740,10 @@ def test_connection_classes_are_read_only(band3x2):
     member = band3x2.sorted_support()[0]
     with pytest.raises(TypeError):
         classes.certificates[member] = classes.certificates[member]
+    # keyed by the support, block by block; other degrees are missing keys
+    assert list(classes.certificates) == [g for block in classes.blocks for g in block]
+    for missing in (band3x2.identity_degree(), (9,) * 6):
+        assert missing not in classes.certificates
     with pytest.raises(AttributeError):
         classes.blocks = ()
 

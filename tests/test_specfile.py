@@ -385,6 +385,12 @@ def test_dumps_json_matches_json_dumps(value):
         [2**64, -(2**64) - 1, 0],
         [float("inf"), float("-inf"), float("nan")],
         {"seconds": 0.123456},
+        # leaf lists are written once per value and indentation
+        ['"', "\\", "\x1f", "\x7f", "é", ""],
+        [['"', "é", ""], ['"', "é", ""], {"a": ['"', "é", ""]}],
+        {"a": [1, -2, 3], "b": [1, -2, 3], "c": [[1, -2, 3]]},
+        [[1, 0, 1], [True, False, True], [1, 0, 1], [[True, False, True]]],
+        [[1, 0], [1.0, 0.0], ["1", "0"], [1, 0]],
     ],
 )
 def test_dumps_json_matches_json_dumps_on_edge_cases(value):
